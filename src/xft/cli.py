@@ -81,18 +81,18 @@ def _parse_params(args) -> LctParams:
             raise _UsageError(f"bad --params value: {exc}") from exc
         return LctParams(*values)
     name, _, arg = args.preset.partition(":")
+    if name == "fourier":
+        if arg:
+            raise _UsageError("preset fourier takes no argument")
+        return LctParams.fourier()
+    if name not in ("fresnel", "frft"):
+        raise _UsageError(f"unknown preset {name!r} (use fourier | fresnel:b | frft:theta)")
     try:
-        if name == "fourier":
-            if arg:
-                raise _UsageError("preset fourier takes no argument")
-            return LctParams.fourier()
-        if name == "fresnel":
-            return LctParams.fresnel(float(arg))
-        if name == "frft":
-            return LctParams.frft(float(arg))
+        value = float(arg)
     except ValueError as exc:
         raise _UsageError(f"bad preset argument {arg!r}: {exc}") from exc
-    raise _UsageError(f"unknown preset {name!r} (use fourier | fresnel:b | frft:theta)")
+    # Constructed outside the try: a non-finite value is a ParameterError (exit 3).
+    return LctParams.fresnel(value) if name == "fresnel" else LctParams.frft(value)
 
 
 def _parse_function(text: str) -> GaussianParams:

@@ -1,18 +1,20 @@
 """Exact discrete Fourier transform of arbitrary length in O(N log N).
 
 Semantics: ``out[j] = sum_k exp(direction_sign * 2j*pi*j*k/n) * v[k]`` with no
-normalization.  Power-of-two lengths run a vectorized radix-2
-decimation-in-time pass; every other length is embedded in a power-of-two
-circular convolution (Bluestein's chirp-z identity jk = (j^2 + k^2 - (j-k)^2)/2).
+normalization.  Every length runs on ``numpy.fft`` (pocketfft): sign -1 is
+``fft(v)``, sign +1 is ``ifft(v, norm="forward")``, the unscaled inverse sum.
 
-Plans precompute all index and twiddle tables and own no scratch buffers, so
-one plan may be applied concurrently from multiple threads; every apply
-allocates its own work arrays and is deterministic (bit-identical output for
+A plan is a validated (length, direction) record and holds no tables or
+scratch, so one plan may be applied concurrently from multiple threads; every
+apply returns a fresh array and is deterministic (bit-identical output for
 identical input and plan).
 """
 from __future__ import annotations
 
 import numpy as np
+# Imported eagerly: numpy loads numpy.fft lazily, and paying that load on the
+# first transform instead of at ``import xft`` would land in its latency.
+from numpy.fft import fft, ifft
 
 from .errors import InvalidSizeError, ParameterError, ShapeError
 
@@ -21,41 +23,8 @@ __all__ = ["DftPlan", "plan_dft", "apply_dft", "naive_dft"]
 _NAIVE_CAP = 4096
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev = (rev << 1) | ((idx >> b) & 1)
-    return rev
-
-
-def _pow2_tables(n: int, sign: int):
-    rev = _bit_reverse_indices(n)
-    twiddles = []
-    m = 1
-    while m < n:
-        twiddles.append(np.exp(sign * 1j * np.pi * np.arange(m) / m))
-        m *= 2
-    return rev, tuple(twiddles)
-
-
-def _apply_pow2(v: np.ndarray, rev: np.ndarray, twiddles) -> np.ndarray:
-    a = v[rev]
-    m = 1
-    for w in twiddles:
-        a = a.reshape(-1, 2, m)
-        t = a[:, 1, :] * w
-        top = a[:, 0, :] + t
-        a[:, 1, :] = a[:, 0, :] - t
-        a[:, 0, :] = top
-        a = a.reshape(-1)
-        m *= 2
-    return a
-
-
 class DftPlan:
-    """Reusable transform plan for one (length, direction) pair.
+    """Validated transform parameters for one (length, direction) pair.
 
     Attributes
     ----------
@@ -64,11 +33,10 @@ class DftPlan:
     direction_sign : int
         +1 or -1, the sign of i*2*pi*j*k/n in the kernel exponent.
     route : str
-        "radix-2" for powers of two (n = 1 included), "chirp-z" otherwise.
+        The DFT engine, always "numpy".
     """
 
-    __slots__ = ("n", "direction_sign", "route", "_rev", "_twiddles",
-                 "_m", "_chirp", "_filter_fft", "_fwd", "_inv")
+    __slots__ = ("n", "direction_sign", "route")
 
     def __init__(self, n: int, direction_sign: int):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -77,46 +45,24 @@ class DftPlan:
             raise ParameterError(f"direction_sign must be +1 or -1, got {direction_sign!r}")
         self.n = int(n)
         self.direction_sign = int(direction_sign)
-        if self.n & (self.n - 1) == 0:
-            self.route = "radix-2"
-            self._rev, self._twiddles = _pow2_tables(self.n, self.direction_sign)
-            self._m = self._chirp = self._filter_fft = self._fwd = self._inv = None
-        else:
-            self.route = "chirp-z"
-            m = 1
-            while m < 2 * self.n - 1:
-                m *= 2
-            k = np.arange(self.n, dtype=np.int64)
-            # e^{s*i*pi*k^2/n}; k^2 reduced mod 2n keeps the phase argument small
-            chirp = np.exp(direction_sign * 1j * np.pi * ((k * k) % (2 * self.n)) / self.n)
-            filt = np.zeros(m, dtype=complex)
-            filt[: self.n] = np.conj(chirp)
-            filt[m - self.n + 1:] = np.conj(chirp[1:][::-1])
-            self._fwd = _pow2_tables(m, -1)
-            self._inv = _pow2_tables(m, +1)
-            self._m = m
-            self._chirp = chirp
-            self._filter_fft = _apply_pow2(filt, *self._fwd)
-            self._rev = self._twiddles = None
+        self.route = "numpy"
 
 
 def plan_dft(n: int, direction_sign: int) -> DftPlan:
-    """Create a plan; see DftPlan for route selection and thread-safety."""
+    """Create a plan; see DftPlan."""
     return DftPlan(n, direction_sign)
 
 
 def apply_dft(plan: DftPlan, v) -> np.ndarray:
-    """Apply a plan to a length-n vector; returns a fresh complex array."""
-    v = np.asarray(v)
+    """Apply a plan to a length-n vector; returns a fresh complex128 array."""
+    # complex128 up front: numpy.fft would keep a float32/complex64 input in
+    # single precision.
+    v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.shape[0] != plan.n:
         raise ShapeError(f"expected a vector of length {plan.n}, got shape {v.shape}")
-    v = v.astype(complex, copy=True)
-    if plan.route == "radix-2":
-        return _apply_pow2(v, plan._rev, plan._twiddles)
-    u = np.zeros(plan._m, dtype=complex)
-    u[: plan.n] = v * plan._chirp
-    conv = _apply_pow2(_apply_pow2(u, *plan._fwd) * plan._filter_fft, *plan._inv)
-    return plan._chirp * conv[: plan.n] / plan._m
+    if plan.direction_sign < 0:
+        return fft(v)
+    return ifft(v, norm="forward")
 
 
 def naive_dft(v, direction_sign: int) -> np.ndarray:

@@ -56,6 +56,11 @@ class LctParams:
     c: float
     d: float
 
+    def __post_init__(self):
+        for name, value in zip("abcd", self.as_tuple()):
+            if not math.isfinite(value):
+                raise ParameterError(f"parameter {name} must be finite, got {value!r}")
+
     @property
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
@@ -101,6 +106,8 @@ class LctParams:
         cos(angle) below 1e-15 in magnitude snaps to 0 so that angle = pi/2
         reproduces the Fourier quadruple exactly.
         """
+        if not math.isfinite(angle):
+            raise ParameterError(f"angle must be finite, got {angle!r}")
         ca, sa = math.cos(angle), math.sin(angle)
         if abs(ca) < 1e-15:
             ca = 0.0
@@ -181,8 +188,9 @@ def fast_lct(
     C(n) are the boundary phases and constant of the scaled Fourier kernel.
     Agrees with the dense reference matrix to rounding error.
 
-    Pass a precomputed ``plan`` (length n, the calibrated sign) to amortize
-    table setup across many transforms.
+    A ``plan`` only fixes (n, the calibrated sign) and holds no tables;
+    passing one checks it against the signal, and omitting it uses a cached
+    plan for n.
     """
     if params.b == 0:
         raise DegenerateParameterError(

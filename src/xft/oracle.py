@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +203,10 @@ def quadrature_on_nodes(params: LctParams, f, ys,
     threads = max(1, min(threads, ys.size))
     if threads == 1:
         return _quadrature_vector(params, f, ys, cfg)
+    # Imported here: concurrent.futures pulls in logging and queue, which
+    # would add ~0.4 MB to every process that imports xft.
+    from concurrent.futures import ThreadPoolExecutor
+
     chunks = np.array_split(ys, threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(lambda block: _quadrature_vector(params, f, block, cfg), chunks))

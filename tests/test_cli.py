@@ -58,6 +58,15 @@ class TestTransform:
         assert main(["transform", "--n", "8", "--params", "1,1,1,1",
                      "--function", "gaussian:1,0,0"]) == 3
 
+    @pytest.mark.parametrize("check", [[], ["--no-unimodular-check"]])
+    @pytest.mark.parametrize("spec", [["--params", "nan,1,0,1"],
+                                      ["--params", "1,1,nan,1"],
+                                      ["--preset", "fresnel:inf"],
+                                      ["--preset", "frft:inf"]])
+    def test_nonfinite_params_exit_3(self, spec, check):
+        assert main(["transform", "--n", "8", *spec, *check,
+                     "--function", "gaussian:1,0,0"]) == 3
+
     def test_unimodular_escape_hatch(self, tmp_path):
         out = tmp_path / "x.csv"
         rc = main(["transform", "--n", "8", "--params", "1,1,1,1.0000005",
@@ -214,7 +223,7 @@ class TestBench:
         assert lines[2].split("\t")[2] != ""
 
     def test_non_power_of_two_completes(self, tmp_path):
-        # 3 * 2^16 forces the chirp-z route at benchmark scale
+        # 3 * 2^16: a composite, non-power-of-two length at benchmark scale
         out = tmp_path / "bench.tsv"
         assert main(["bench", "--sizes", "196608", "--repeats", "1",
                      "--output", str(out)]) == 0

@@ -1,4 +1,4 @@
-"""FFT engine: route selection, naive-DFT oracle agreement, invariants."""
+"""FFT engine: plan validation, naive-DFT oracle agreement, invariants."""
 import threading
 
 import numpy as np
@@ -22,13 +22,14 @@ def rel_err(got, ref):
 class TestPlanning:
     def test_identity_at_n1(self):
         plan = plan_dft(1, 1)
-        assert plan.route == "radix-2"
+        assert plan.route == "numpy"
         assert apply_dft(plan, [3.0 - 1j]).tolist() == [3.0 - 1j]
 
     def test_route_selection(self):
-        assert plan_dft(1024, 1).route == "radix-2"
-        assert plan_dft(1000, 1).route == "chirp-z"
-        assert plan_dft(3, -1).route == "chirp-z"
+        # One engine serves every length and both signs.
+        for n in (1, 3, 1000, 1024):
+            for sign in (1, -1):
+                assert plan_dft(n, sign).route == "numpy"
 
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidSizeError):
@@ -39,6 +40,13 @@ class TestPlanning:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             apply_dft(plan_dft(8, 1), np.zeros(7))
+
+    def test_single_precision_input_gives_double_output(self):
+        v = np.arange(8, dtype=np.complex64) / 3
+        for sign in (1, -1):
+            out = apply_dft(plan_dft(8, sign), v)
+            assert out.dtype == np.complex128
+            assert rel_err(out, naive_dft(v.astype(complex), sign)) < 1e-14
 
 
 class TestAgainstNaive:

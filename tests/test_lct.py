@@ -26,6 +26,7 @@ from xft import (
     lct_b_zero,
     xft_fourier,
 )
+from xft.calibration import FIGURE1_GAUSSIAN, FIGURE1_PARAMS
 from xft.kernel import scaled_fourier_matrix
 
 
@@ -59,6 +60,16 @@ class TestLctParams:
             LctParams(1, 1, 1, 1).require_unimodular()
         LctParams(1, 1, 1, 2 + 5e-11).require_unimodular()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_rejects_nonfinite_entry(self, field, bad):
+        # Rejected at construction, so check_unimodular=False cannot let a
+        # NaN matrix through (c and d never enter the pre-chirp).
+        values = [1.0, 1.0, 0.0, 1.0]
+        values[field] = bad
+        with pytest.raises(ParameterError):
+            LctParams(*values)
+
 
 class TestSignal:
     def test_length_mismatch(self):
@@ -89,6 +100,14 @@ class TestFastLct:
         lo, hi = n // 10, (9 * n) // 10
         oracle = gaussian_lct_closed_form(g, params, res.output_nodes[lo:hi])
         assert np.max(np.abs(res.values[lo:hi] - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2 ** 18, 2 ** 20])
+    def test_figure_configuration_accuracy_at_large_n(self, n):
+        # Pins the phase precision of the chirps and the DFT at scale: the
+        # error over every output node stays at the rounding floor.
+        res = fast_lct(FIGURE1_PARAMS, gaussian_sample(FIGURE1_GAUSSIAN, asymptotic_zeros(n)))
+        oracle = gaussian_lct_closed_form(FIGURE1_GAUSSIAN, FIGURE1_PARAMS, res.output_nodes)
+        assert np.max(np.abs(res.values - oracle)) <= 5e-15
 
     def test_zero_input_gives_zero(self):
         sig = Signal(asymptotic_zeros(16), np.zeros(16, dtype=complex))
