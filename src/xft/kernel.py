@@ -99,7 +99,8 @@ def input_chirp(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Pre-multiplication chirp exp(i*a*x^2/(2b))."""
     if b == 0:
         raise ParameterError("chirp undefined for b = 0")
-    return np.exp((0.5j * a / b) * np.square(x))
+    phase = (0.5j * a / b) * np.square(x)
+    return np.exp(phase, out=phase)
 
 
 def output_chirp(d: float, b: float, y: np.ndarray) -> np.ndarray:
@@ -110,4 +111,7 @@ def output_chirp(d: float, b: float, y: np.ndarray) -> np.ndarray:
     """
     if b == 0:
         raise ParameterError("chirp undefined for b = 0")
-    return np.exp((0.5j * d / b) * np.square(y)) / np.sqrt(2j * np.pi * b)
+    chirp = (0.5j * d / b) * np.square(y)
+    np.exp(chirp, out=chirp)
+    chirp /= np.sqrt(2j * np.pi * b)
+    return chirp

@@ -209,10 +209,16 @@ def fast_lct(
             f"plan is for (n={plan.n}, sign={plan.direction_sign}); "
             f"this transform needs (n={n}, sign={DFT_SIGN})"
         )
+    # The products accumulate in place in the fresh chirp arrays, which
+    # saves length-n temporaries (and their page faults at large n).
     p = boundary_phase(n)
-    u = p * input_chirp(params.a, params.b, x) * signal.values
+    u = input_chirp(params.a, params.b, x)
+    u *= p
+    u *= signal.values
     spectrum = apply_dft(plan, u)
-    values = kernel_prefactor(n) * p * output_chirp(params.d, params.b, y) * spectrum
+    values = output_chirp(params.d, params.b, y)
+    values *= kernel_prefactor(n) * p
+    values *= spectrum
     return TransformResult(params=params, output_nodes=y, values=values, n=n)
 
 
