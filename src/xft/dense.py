@@ -6,9 +6,10 @@ the symmetric Jacobi matrix of the Hermite recurrence,
     F_z = sqrt(2*pi) * U^T D(z) U,     D(z) = diag(1, z, ..., z^{n-1}),
 
 where column k of U is the unit eigenvector with eigenvalue equal to the k-th
-exact Hermite zero, plus the chirp-factored LCT matrix L = S1 F S2 on the
-asymptotic grid.  Matrices are materialized only up to n = 4096 (memory
-guard; the dense path is a test oracle, not the product).
+exact Hermite zero, plus the chirp-factored LCT matrix on the asymptotic
+grid, built from the fast path's own factor vectors.  Matrices are
+materialized only up to n = 4096 (memory guard; the dense path is a test
+oracle, not the product).
 
 Construction is pure; a built DenseTransform is immutable and may be applied
 to many vectors concurrently.
@@ -26,9 +27,10 @@ from .errors import (
     ShapeError,
     SingularParameterError,
 )
+from .fftcore import dft_matrix
 from .hermite import _psi_rows_rescaled, asymptotic_zeros, exact_hermite_zeros
-from .kernel import input_chirp, output_chirp, scaled_fourier_matrix
-from .lct import LctParams
+from .kernel import DFT_SIGN
+from .lct import LctParams, _fused_factors
 
 __all__ = [
     "MAX_DENSE_N",
@@ -152,23 +154,20 @@ def frft_matrix_asymptotic(n: int, order: FrftOrder) -> DenseTransform:
 
 
 def dense_lct_matrix(n: int, params: LctParams) -> DenseTransform:
-    """Materialized LCT matrix L = S1 F S2 on the asymptotic grid.
+    """Materialized LCT matrix L = diag(post) W diag(pre) on the asymptotic grid.
 
-    S2 = diag(exp(i a x_k^2/(2b))), S1 = diag(exp(i d y_j^2/(2b)) /
-    sqrt(2*pi*i*b)) with y_j = 4 b x_j / pi, and F the scaled Fourier kernel
-    matrix (calibrated sign, identical to the fast path's).  Applying L to a
-    sample vector reproduces fast_lct up to rounding, arithmetic reordered.
+    W is the plain DFT matrix with the calibrated sign, and pre and post are
+    the fused factor vectors fast_lct applies around its DFT: pre carries
+    exp(i a x_k^2/(2b)) and the boundary phase, post carries C(n), the
+    boundary phase and exp(i d y_j^2/(2b)) / sqrt(2*pi*i*b) with
+    y_j = 4 b x_j / pi.  Applying L to a sample vector reproduces fast_lct
+    up to rounding, arithmetic reordered.
     """
     _guard_dense_size(n)
     if params.b == 0:
         raise DegenerateParameterError("b = 0 has no kernel matrix; use lct_b_zero")
-    x = asymptotic_zeros(n).nodes
-    y = (4.0 * params.b / np.pi) * x
-    entries = (
-        output_chirp(params.d, params.b, y)[:, None]
-        * scaled_fourier_matrix(n)
-        * input_chirp(params.a, params.b, x)[None, :]
-    )
+    pre, post, _ = _fused_factors(n, params.a, params.b, params.d)
+    entries = post[:, None] * dft_matrix(n, DFT_SIGN) * pre[None, :]
     return DenseTransform(
         n=n, entries=entries, provenance="lct", detail=params.as_tuple()
     )

@@ -6,8 +6,8 @@ normalization.  Every length runs on ``numpy.fft`` (pocketfft): sign -1 is
 
 A plan is a validated (length, direction) record and holds no tables or
 scratch, so one plan may be applied concurrently from multiple threads; every
-apply returns a fresh array and is deterministic (bit-identical output for
-identical input and plan).
+apply returns a fresh array (or fills the caller's ``out``) and is
+deterministic (bit-identical output for identical input and plan).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from numpy.fft import fft, ifft
 
 from .errors import InvalidSizeError, ParameterError, ShapeError
 
-__all__ = ["DftPlan", "plan_dft", "apply_dft", "naive_dft"]
+__all__ = ["DftPlan", "plan_dft", "apply_dft", "dft_matrix", "naive_dft"]
 
 _NAIVE_CAP = 4096
 
@@ -53,31 +53,42 @@ def plan_dft(n: int, direction_sign: int) -> DftPlan:
     return DftPlan(n, direction_sign)
 
 
-def apply_dft(plan: DftPlan, v) -> np.ndarray:
-    """Apply a plan to a length-n vector; returns a fresh complex128 array."""
+def apply_dft(plan: DftPlan, v, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply a plan to a length-n vector.
+
+    Returns a fresh complex128 array, or writes into and returns ``out``, a
+    complex128 array of shape (n,) that may be ``v`` itself (same bits as
+    the fresh result, one length-n array less).
+    """
     # complex128 up front: numpy.fft would keep a float32/complex64 input in
     # single precision.
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.shape[0] != plan.n:
         raise ShapeError(f"expected a vector of length {plan.n}, got shape {v.shape}")
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == (plan.n,)
+                                and out.dtype == np.complex128):
+        raise ShapeError(f"out must be a complex128 array of shape ({plan.n},)")
     if plan.direction_sign < 0:
-        return fft(v)
-    return ifft(v, norm="forward")
+        return fft(v, out=out)
+    return ifft(v, norm="forward", out=out)
 
 
-def naive_dft(v, direction_sign: int) -> np.ndarray:
-    """Quadratic-time reference DFT, kept as the validation oracle.
+def dft_matrix(n: int, direction_sign: int) -> np.ndarray:
+    """Dense n x n kernel exp(direction_sign * 2j*pi*j*k/n) of the plain DFT.
 
-    Guarded at n = 4096; the dense kernel costs O(n^2) memory and time.
+    Guarded at n = 4096; the matrix costs O(n^2) memory and time.
     """
     if direction_sign not in (1, -1):
         raise ParameterError(f"direction_sign must be +1 or -1, got {direction_sign!r}")
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
     if n < 1:
         raise InvalidSizeError("empty input")
     if n > _NAIVE_CAP:
-        raise InvalidSizeError(f"naive DFT capped at n={_NAIVE_CAP} (got {n})")
+        raise InvalidSizeError(f"dense DFT capped at n={_NAIVE_CAP} (got {n})")
     j = np.arange(n, dtype=np.int64)
-    kernel = np.exp(direction_sign * 2j * np.pi * (np.outer(j, j) % n) / n)
-    return kernel @ v
+    return np.exp(direction_sign * 2j * np.pi * (np.outer(j, j) % n) / n)
+
+
+def naive_dft(v, direction_sign: int) -> np.ndarray:
+    """Quadratic-time reference DFT, kept as the validation oracle."""
+    v = np.asarray(v, dtype=complex)
+    return dft_matrix(v.shape[0], direction_sign) @ v

@@ -15,18 +15,23 @@ reversed), only -1 reproduces the transform's defining integral, whose cross
 term is exp(-i*x*y/b).  Calibrated once against the direct-quadrature oracle;
 a regression test pins the choice.
 
-Both the fast path and the dense reference assemble their transforms from
-the exact same factor arrays below, so they agree to rounding error by
-construction.  Integer phase arguments are reduced modulo the period before
-multiplying by pi/n, keeping phases accurate at large n.
+Each factor (p, C(n), the chirps and 1/sqrt(2*pi*i*b)) is defined once,
+below.  ``xft.lct`` fuses them into a pre-DFT and a post-DFT vector per
+(n, a, b, d), and both ``fast_lct`` and ``dense_lct_matrix`` are built from
+those two vectors, so they agree to rounding error by construction.
+Phases stay accurate at large n: C(n) reduces its integer phase argument
+modulo the period before multiplying by pi/n, and p is assembled from
+phases of at most about pi.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from .fftcore import DftPlan, apply_dft, plan_dft
+from .fftcore import DftPlan, apply_dft, dft_matrix, plan_dft
 from .errors import InvalidSizeError, ParameterError, ShapeError
 
 __all__ = [
@@ -45,24 +50,48 @@ DFT_SIGN = -1
 def kernel_prefactor(n: int) -> complex:
     """Scalar constant C(n) of the scaled Fourier kernel matrix."""
     red = ((n - 1) * (n - 1)) % (4 * n)
-    return np.pi / np.sqrt(2.0 * n) * np.exp(DFT_SIGN * 1j * np.pi * red / (2.0 * n))
+    return math.pi / math.sqrt(2.0 * n) * cmath.exp(DFT_SIGN * 1j * math.pi * red / (2.0 * n))
+
+
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(i*phase) for a real array, as cos(phase) + i*sin(phase).
+
+    Cheaper than numpy's complex exp of 1j*phase, and needs no complex
+    temporary for the phase.
+    """
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 @lru_cache(maxsize=32)
-def _boundary_phase_cached(n: int) -> np.ndarray:
-    k = np.arange(n, dtype=np.int64)
-    red = ((n - 1) * k) % (2 * n)
-    phase = np.exp(-DFT_SIGN * 1j * np.pi * red.astype(float) / n)
-    phase.setflags(write=False)
-    return phase
+def _boundary_phase_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    m = math.isqrt(n - 1) + 1
+    phase = np.arange(m, dtype=float)
+    phase *= DFT_SIGN * np.pi / n
+    cols = _cis(phase)
+    cols[1::2] *= -1
+    rows = _cis(m * phase)
+    if m % 2:
+        rows[1::2] *= -1
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def boundary_phase(n: int) -> np.ndarray:
     """Diagonal phase p[k] bracketing the plain DFT inside the kernel.
 
-    Depends on n only; cached and returned read-only.
+    p[k] = exp(-DFT_SIGN * 1j*pi*(n-1)*k/n) = z^k with z = -exp(DFT_SIGN *
+    1j*pi/n).  Writing k = i*m + j with m = ceil(sqrt(n)), p[k] is the
+    product of rows[i] = z^(i*m) and cols[j] = z^j: two cached m-entry tables
+    (32*m bytes, 32 KiB at n = 2^20) evaluated at phases of at most about pi,
+    then n products, so each entry is within a few ulp.  Returns a fresh
+    array.
     """
-    return _boundary_phase_cached(n)
+    rows, cols = _boundary_phase_tables(n)
+    return (rows[:, None] * cols).ravel()[:n]
 
 
 def scaled_fourier_matrix(n: int) -> np.ndarray:
@@ -74,10 +103,8 @@ def scaled_fourier_matrix(n: int) -> np.ndarray:
         raise InvalidSizeError(f"size must be a positive integer, got {n!r}")
     if n > 4096:
         raise InvalidSizeError(f"dense kernel matrix capped at n=4096 (got {n})")
-    j = np.arange(n, dtype=np.int64)
-    dft = np.exp(DFT_SIGN * 2j * np.pi * (np.outer(j, j) % n) / n)
     p = boundary_phase(n)
-    return kernel_prefactor(n) * (p[:, None] * dft * p[None, :])
+    return kernel_prefactor(n) * (p[:, None] * dft_matrix(n, DFT_SIGN) * p[None, :])
 
 
 def apply_scaled_fourier(v: np.ndarray, plan: DftPlan | None = None) -> np.ndarray:
@@ -99,8 +126,9 @@ def input_chirp(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Pre-multiplication chirp exp(i*a*x^2/(2b))."""
     if b == 0:
         raise ParameterError("chirp undefined for b = 0")
-    phase = (0.5j * a / b) * np.square(x)
-    return np.exp(phase, out=phase)
+    phase = np.square(x)
+    phase *= 0.5 * a / b
+    return _cis(phase)
 
 
 def output_chirp(d: float, b: float, y: np.ndarray) -> np.ndarray:
@@ -111,7 +139,8 @@ def output_chirp(d: float, b: float, y: np.ndarray) -> np.ndarray:
     """
     if b == 0:
         raise ParameterError("chirp undefined for b = 0")
-    chirp = (0.5j * d / b) * np.square(y)
-    np.exp(chirp, out=chirp)
+    phase = np.square(y)
+    phase *= 0.5 * d / b
+    chirp = _cis(phase)
     chirp /= np.sqrt(2j * np.pi * b)
     return chirp

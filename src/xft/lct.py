@@ -11,8 +11,9 @@ pointwise chirp, one plain DFT, and a pointwise scale, evaluated at the
 output nodes y_j = 4 b x_j / pi.  Fourier, fractional Fourier and Fresnel
 transforms are parameter special cases.
 
-All operations are pure; results are immutable; independent transforms may
-run fully in parallel (a shared DftPlan is safe for concurrent applies).
+All operations are pure; results are frozen records whose values are fresh
+arrays; independent transforms may run fully in parallel (the factor cache
+holds read-only arrays, and a shared DftPlan is safe for concurrent applies).
 """
 from __future__ import annotations
 
@@ -161,6 +162,41 @@ def _reference_grid(n: int) -> HermiteGrid:
     return grid
 
 
+def _mirrored(chirp, coef: float, b: float, nodes: np.ndarray) -> np.ndarray:
+    """chirp(coef, b, nodes) for nodes with nodes[k] == -nodes[n-1-k].
+
+    The chirps are even in their node, so only the upper half is evaluated
+    and the lower half is its mirror image.
+    """
+    n = nodes.shape[0]
+    upper = chirp(coef, b, nodes[n // 2:])  # starts at the centre node when n is odd
+    return np.concatenate((upper[n % 2:][::-1], upper))
+
+
+@lru_cache(maxsize=8)
+def _fused_factors(
+    n: int, a: float, b: float, d: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (pre, post, y) of the transform at (n, a, b, d).
+
+    pre = p * exp(i a x^2/(2b)), post = C(n) * p * exp(i d y^2/(2b)) /
+    sqrt(2*pi*i*b) and y = 4 b x/pi, on the asymptotic grid x.  An entry
+    holds 40*n bytes.  fast_lct and dense_lct_matrix are both built from
+    pre and post.
+    """
+    x = _reference_grid(n).nodes
+    y = (4.0 * b / np.pi) * x
+    p = boundary_phase(n)
+    pre = _mirrored(input_chirp, a, b, x)
+    pre *= p
+    post = _mirrored(output_chirp, d, b, y)
+    post *= p
+    post *= kernel_prefactor(n)
+    for factor in (pre, post, y):
+        factor.setflags(write=False)
+    return pre, post, y
+
+
 def _require_asymptotic_grid(grid: HermiteGrid) -> None:
     expected = _reference_grid(grid.n)
     if grid is expected:
@@ -182,11 +218,18 @@ def fast_lct(
 ) -> TransformResult:
     """Linear canonical transform of a sampled signal in O(n log n).
 
-    Steps: (1) pointwise pre-chirp p_k * exp(i a x_k^2/(2b)) * f_k,
-    (2) one length-n DFT with the calibrated kernel sign, (3) pointwise
-    post-scale C(n) * p_j * exp(i d y_j^2/(2b)) / sqrt(2*pi*i*b), where p and
-    C(n) are the boundary phases and constant of the scaled Fourier kernel.
-    Agrees with the dense reference matrix to rounding error.
+    Steps: (1) values = pre * f, with pre_k = p_k * exp(i a x_k^2/(2b)),
+    (2) one length-n DFT with the calibrated kernel sign, in place,
+    (3) values *= post, with post_j = C(n) * p_j * exp(i d y_j^2/(2b)) /
+    sqrt(2*pi*i*b), where p and C(n) are the boundary phases and constant
+    of the scaled Fourier kernel.  Agrees with the dense reference matrix,
+    which is built from the same pre and post, to rounding error.
+
+    pre, post and the output nodes y depend only on (n, a, b, d) and are
+    cached for the 8 most recent such keys, at 40*n bytes each (40 MiB at
+    n = 2^20, so at most 320 MiB).  A repeat call costs one product, one
+    DFT and one product; ``values`` is a fresh writable array on every
+    call, and ``output_nodes`` is the cached read-only y.
 
     A ``plan`` only fixes (n, the calibrated sign) and holds no tables;
     passing one checks it against the signal, and omitting it uses a cached
@@ -200,8 +243,6 @@ def fast_lct(
         params.require_unimodular(unimodular_tol)
     _require_asymptotic_grid(signal.grid)
     n = signal.grid.n
-    x = signal.grid.nodes
-    y = (4.0 * params.b / np.pi) * x
     if plan is None:
         plan = _cached_plan(n)
     elif plan.n != n or plan.direction_sign != DFT_SIGN:
@@ -209,16 +250,10 @@ def fast_lct(
             f"plan is for (n={plan.n}, sign={plan.direction_sign}); "
             f"this transform needs (n={n}, sign={DFT_SIGN})"
         )
-    # The products accumulate in place in the fresh chirp arrays, which
-    # saves length-n temporaries (and their page faults at large n).
-    p = boundary_phase(n)
-    u = input_chirp(params.a, params.b, x)
-    u *= p
-    u *= signal.values
-    spectrum = apply_dft(plan, u)
-    values = output_chirp(params.d, params.b, y)
-    values *= kernel_prefactor(n) * p
-    values *= spectrum
+    pre, post, y = _fused_factors(n, params.a, params.b, params.d)
+    values = pre * signal.values
+    apply_dft(plan, values, out=values)
+    values *= post
     return TransformResult(params=params, output_nodes=y, values=values, n=n)
 
 
@@ -229,12 +264,9 @@ def xft_fourier(signal: Signal, *, plan: DftPlan | None = None) -> TransformResu
     with the 1/sqrt(2*pi*i*b) prefactor removed.
     """
     res = fast_lct(LctParams.fourier(), signal, plan=plan)
-    return TransformResult(
-        params=res.params,
-        output_nodes=res.output_nodes,
-        values=np.sqrt(2j * np.pi) * res.values,
-        n=res.n,
-    )
+    values = res.values  # fresh on every call: scale it in place
+    values *= np.sqrt(2j * np.pi)
+    return res
 
 
 def fast_frft(angle: float, signal: Signal, *, plan: DftPlan | None = None) -> TransformResult:

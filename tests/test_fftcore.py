@@ -41,6 +41,13 @@ class TestPlanning:
         with pytest.raises(ShapeError):
             apply_dft(plan_dft(8, 1), np.zeros(7))
 
+    def test_rejects_out_of_wrong_shape_or_dtype(self):
+        v = np.ones(8, dtype=complex)
+        for out in (np.empty(7, dtype=complex), np.empty((8, 1), dtype=complex),
+                    np.empty(8), np.empty(8, dtype=np.complex64), [0j] * 8):
+            with pytest.raises(ShapeError):
+                apply_dft(plan_dft(8, -1), v, out=out)
+
     def test_single_precision_input_gives_double_output(self):
         v = np.arange(8, dtype=np.complex64) / 3
         for sign in (1, -1):
@@ -109,6 +116,17 @@ class TestInvariants:
         a = apply_dft(plan, v)
         b = apply_dft(plan, v)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 512, 1000, 65537])
+    def test_in_place_out_is_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for sign in (1, -1):
+            plan = plan_dft(n, sign)
+            fresh = apply_dft(plan, v)
+            w = v.copy()
+            assert apply_dft(plan, w, out=w) is w
+            assert np.array_equal(w, fresh)
 
     def test_input_not_mutated(self):
         v = np.arange(8, dtype=complex)

@@ -1,5 +1,7 @@
 """Fast transform path: equivalence with the dense oracle and special cases."""
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +29,14 @@ from xft import (
     xft_fourier,
 )
 from xft.calibration import FIGURE1_GAUSSIAN, FIGURE1_PARAMS
-from xft.kernel import scaled_fourier_matrix
+from xft.kernel import (
+    boundary_phase,
+    input_chirp,
+    kernel_prefactor,
+    output_chirp,
+    scaled_fourier_matrix,
+)
+from xft.lct import _fused_factors
 
 
 def random_unimodular(rng, b_low=0.1, b_high=100.0):
@@ -218,6 +227,77 @@ class TestFastLct:
             - gaussian_lct_closed_form(g, m12, direct.output_nodes[lo:hi])))
 
         assert composed_err <= 10 * max(direct_err, 1e-15)
+
+
+class TestFactorCache:
+    """pre, post and y are cached per (n, a, b, d); results stay independent."""
+
+    def test_hit_is_bit_identical_to_cold_miss(self):
+        rng = np.random.default_rng(51)
+        sig = random_signal(rng, 1000)
+        params = random_unimodular(rng)
+        _fused_factors.cache_clear()
+        cold = fast_lct(params, sig)
+        warm = fast_lct(params, sig)
+        assert _fused_factors.cache_info().hits == 1
+        assert np.array_equal(cold.values, warm.values)
+
+    def test_writing_into_values_leaves_next_call_alone(self):
+        sig = random_signal(np.random.default_rng(52), 64)
+        params = LctParams(1.0, 2.0, 0.5, 2.0)
+        first = fast_lct(params, sig)
+        keep = first.values.copy()
+        first.values[:] = 0
+        assert np.array_equal(fast_lct(params, sig).values, keep)
+
+    def test_output_nodes_are_read_only(self):
+        res = fast_lct(LctParams(1.0, 2.0, 0.5, 2.0),
+                       random_signal(np.random.default_rng(53), 16))
+        with pytest.raises(ValueError):
+            res.output_nodes[0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 513, 1000])
+    def test_mirrored_factors_match_full_grid_evaluation(self, n):
+        a, b, d = 0.7, -1.3, 1.9
+        pre, post, y = _fused_factors(n, a, b, d)
+        x = asymptotic_zeros(n).nodes
+        p = boundary_phase(n)
+        assert np.array_equal(y, (4.0 * b / np.pi) * x)
+        assert np.max(np.abs(pre - input_chirp(a, b, x) * p)) <= 1e-15
+        assert np.max(np.abs(post - output_chirp(d, b, y) * kernel_prefactor(n) * p)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 513, 1000, 65537])
+    def test_boundary_phase_matches_direct_formula(self, n):
+        k = np.arange(n)
+        direct = np.exp(-DFT_SIGN * 1j * np.pi * (((n - 1) * k) % (2 * n)) / n)
+        assert np.max(np.abs(boundary_phase(n) - direct)) <= 2e-15
+
+    def test_concurrent_transforms_match_sequential(self):
+        # More parameter sets than cache entries, so threads evict each
+        # other's factors while they run.
+        rng = np.random.default_rng(54)
+        sig = random_signal(rng, 256)
+        quads = [random_unimodular(rng) for _ in range(12)]
+        expected = [fast_lct(q, sig).values for q in quads]
+        agreed = {}
+
+        def run(t):
+            agreed[t] = all(
+                np.array_equal(fast_lct(quads[j % 12], sig).values, expected[j % 12])
+                for j in range(t, t + 48))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert agreed == dict.fromkeys(range(6), True)
 
 
 class TestFrozenKernelSign:
