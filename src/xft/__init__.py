@@ -26,7 +26,7 @@ from .hermite import (
     hermite_function_row,
 )
 from .fftcore import DftPlan, apply_dft, naive_dft, plan_dft
-from .kernel import DFT_SIGN, apply_scaled_fourier, scaled_fourier_matrix
+from .kernel import DFT_SIGN
 from .lct import (
     LctParams,
     Signal,
@@ -65,8 +65,7 @@ __all__ = [
     "GridMismatchError", "ConvergenceError", "TruncationWarning",
     "HermiteGrid", "asymptotic_zeros", "grid_spacing", "exact_hermite_zeros",
     "hermite_function_row",
-    "DftPlan", "plan_dft", "apply_dft", "naive_dft",
-    "DFT_SIGN", "scaled_fourier_matrix", "apply_scaled_fourier",
+    "DftPlan", "plan_dft", "apply_dft", "naive_dft", "DFT_SIGN",
     "LctParams", "Signal", "TransformResult", "fast_lct", "xft_fourier",
     "fast_frft", "lct_b_zero", "chirp_phase_step",
     "FrftOrder", "DenseTransform", "eigenvector_matrix", "frft_matrix",

@@ -21,10 +21,8 @@ from .errors import (
     ShapeError,
     XftError,
 )
-from .fftcore import plan_dft
 from .hermite import asymptotic_zeros, exact_hermite_zeros
-from .kernel import DFT_SIGN
-from .lct import LctParams, Signal, chirp_phase_step, fast_lct, lct_b_zero
+from .lct import LctParams, Signal, TransformResult, chirp_phase_step, fast_lct, lct_b_zero
 from .oracle import (
     GaussianParams,
     QuadratureConfig,
@@ -205,11 +203,6 @@ def _cmd_transform(args) -> int:
 
 
 def _oracle_values(args, params, signal, g, result):
-    cfg = QuadratureConfig(
-        radius=(args.oracle_radius if args.oracle_radius is not None
-                else 12.0 / math.sqrt(g.alpha) if g is not None else 12.0),
-        tol=args.oracle_tol,
-    )
     if args.oracle == "closed-form":
         if g is None:
             raise ParameterError("closed-form oracle needs a gaussian builtin input")
@@ -217,23 +210,18 @@ def _oracle_values(args, params, signal, g, result):
     if args.oracle == "quadrature":
         if g is None:
             raise ParameterError("quadrature oracle needs a callable builtin input")
+        if args.oracle_radius is None:
+            cfg = QuadratureConfig.for_gaussian(g, tol=args.oracle_tol)
+        else:
+            cfg = QuadratureConfig(radius=args.oracle_radius, tol=args.oracle_tol)
         return quadrature_on_nodes(params, g.evaluate, result.output_nodes, cfg)
     if args.oracle == "dense":
         return dense_lct_matrix(result.n, params).apply(signal.values)
     raise _UsageError(f"unknown oracle {args.oracle!r}")
 
 
-class _RoundTripResult:
-    """Minimal result wrapper for round-trip comparison output."""
-
-    def __init__(self, nodes, values, n, params):
-        self.output_nodes = nodes
-        self.values = values
-        self.n = n
-        self.params = params
-
-
-def _inverse_roundtrip(params: LctParams, signal: Signal) -> _RoundTripResult:
+def _inverse_roundtrip(params: LctParams, signal: Signal,
+                       check_unimodular: bool) -> TransformResult:
     """Forward transform, then the scale-adjusted inverse; recovers samples.
 
     The forward output lives on y = sigma*x with sigma = 4b/pi, so the
@@ -245,27 +233,30 @@ def _inverse_roundtrip(params: LctParams, signal: Signal) -> _RoundTripResult:
     if params.b <= 0:
         raise ParameterError("--inverse requires b > 0")
     sigma = 4.0 * params.b / math.pi
-    forward = fast_lct(params, signal)
+    forward = fast_lct(params, signal, check_unimodular=check_unimodular)
     second = LctParams(params.d * sigma, -params.b / sigma,
                        -params.c * sigma, params.a / sigma)
-    back = fast_lct(second, Signal(signal.grid, forward.values))
+    back = fast_lct(second, Signal(signal.grid, forward.values),
+                    check_unimodular=check_unimodular)
     recovered = math.sqrt(sigma) * back.values[::-1]
-    return _RoundTripResult(signal.grid.nodes, recovered, signal.grid.n, params)
+    return TransformResult(params=params, output_nodes=signal.grid.nodes,
+                           values=recovered, n=signal.grid.n)
 
 
 def _cmd_compare(args) -> int:
     params = _parse_params(args)
-    if not args.no_unimodular_check:
+    check_unimodular = not args.no_unimodular_check
+    if check_unimodular:
         params.require_unimodular()
     result0, signal, g = _build_input(args, params, args.n)
     if result0 is not None:
         raise ParameterError("compare requires b != 0")
     if args.inverse:
-        result = _inverse_roundtrip(params, signal)
+        result = _inverse_roundtrip(params, signal, check_unimodular)
         oracle = signal.values
         label = "x,abs_err"
     else:
-        result = fast_lct(params, signal)
+        result = fast_lct(params, signal, check_unimodular=check_unimodular)
         oracle = _oracle_values(args, params, signal, g, result)
         label = "y,abs_err"
     report = compare(result, oracle)
@@ -292,18 +283,19 @@ def _cmd_bench(args) -> int:
         raise _UsageError(f"bad --sizes: {exc}") from exc
     if not sizes:
         raise _UsageError("--sizes is empty")
+    if args.repeats < 1:
+        raise _UsageError(f"--repeats must be at least 1, got {args.repeats}")
     params = _parse_params(args) if (args.params or args.preset) else LctParams.fourier()
     rows = []
     previous = None
     for n in sizes:
         grid = asymptotic_zeros(n)
         signal = gaussian_sample(GaussianParams(1.0, 0.0, 0.0), grid)
-        plan = plan_dft(n, DFT_SIGN)
-        fast_lct(params, signal, plan=plan)  # warmup
+        fast_lct(params, signal)  # warmup
         timings = []
         for _ in range(args.repeats):
             t0 = time.perf_counter()
-            fast_lct(params, signal, plan=plan)
+            fast_lct(params, signal)
             timings.append(time.perf_counter() - t0)
         timings.sort()
         median = timings[len(timings) // 2]

@@ -18,7 +18,9 @@ a regression test pins the choice.
 Each factor (p, C(n), the chirps and 1/sqrt(2*pi*i*b)) is defined once,
 below.  ``xft.lct`` fuses them into a pre-DFT and a post-DFT vector per
 (n, a, b, d), and both ``fast_lct`` and ``dense_lct_matrix`` are built from
-those two vectors, so they agree to rounding error by construction.
+those two vectors, so they agree to rounding error by construction.  F
+itself is the Fourier quadruple (0, 1, -1, 0) times sqrt(2*pi*i):
+``xft_fourier`` applies it and ``dense_lct_matrix`` materializes it.
 Phases stay accurate at large n: C(n) reduces its integer phase argument
 modulo the period before multiplying by pi/n, and p is assembled from
 phases of at most about pi.
@@ -31,15 +33,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fftcore import DftPlan, apply_dft, dft_matrix, plan_dft
-from .errors import InvalidSizeError, ParameterError, ShapeError
+from .errors import ParameterError
 
 __all__ = [
     "DFT_SIGN",
     "kernel_prefactor",
     "boundary_phase",
-    "scaled_fourier_matrix",
-    "apply_scaled_fourier",
     "input_chirp",
     "output_chirp",
 ]
@@ -92,34 +91,6 @@ def boundary_phase(n: int) -> np.ndarray:
     """
     rows, cols = _boundary_phase_tables(n)
     return (rows[:, None] * cols).ravel()[:n]
-
-
-def scaled_fourier_matrix(n: int) -> np.ndarray:
-    """Dense n x n scaled Fourier kernel matrix F (test/reference use).
-
-    Materialized only up to n = 4096, like the rest of the dense path.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidSizeError(f"size must be a positive integer, got {n!r}")
-    if n > 4096:
-        raise InvalidSizeError(f"dense kernel matrix capped at n=4096 (got {n})")
-    p = boundary_phase(n)
-    return kernel_prefactor(n) * (p[:, None] * dft_matrix(n, DFT_SIGN) * p[None, :])
-
-
-def apply_scaled_fourier(v: np.ndarray, plan: DftPlan | None = None) -> np.ndarray:
-    """F @ v in O(n log n): phase, one DFT, phase, constant."""
-    v = np.asarray(v)
-    n = v.shape[0]
-    if plan is None:
-        plan = plan_dft(n, DFT_SIGN)
-    elif plan.n != n or plan.direction_sign != DFT_SIGN:
-        raise ShapeError(
-            f"plan is for (n={plan.n}, sign={plan.direction_sign}), "
-            f"need (n={n}, sign={DFT_SIGN})"
-        )
-    p = boundary_phase(n)
-    return kernel_prefactor(n) * (p * apply_dft(plan, p * v))
 
 
 def input_chirp(a: float, b: float, x: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ transforms are parameter special cases.
 
 All operations are pure; results are frozen records whose values are fresh
 arrays; independent transforms may run fully in parallel (the factor cache
-holds read-only arrays, and a shared DftPlan is safe for concurrent applies).
+holds read-only arrays).
 """
 from __future__ import annotations
 
@@ -134,11 +134,6 @@ class Signal:
             raise ParameterError("signal values must be finite")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def sample(cls, func, grid: HermiteGrid) -> "Signal":
-        """Sample a vectorized callable on the grid nodes."""
-        return cls(grid=grid, values=np.asarray(func(grid.nodes), dtype=complex))
-
 
 @dataclass(frozen=True)
 class TransformResult:
@@ -212,7 +207,6 @@ def fast_lct(
     params: LctParams,
     signal: Signal,
     *,
-    plan: DftPlan | None = None,
     check_unimodular: bool = True,
     unimodular_tol: float = UNIMODULAR_TOL,
 ) -> TransformResult:
@@ -230,10 +224,6 @@ def fast_lct(
     n = 2^20, so at most 320 MiB).  A repeat call costs one product, one
     DFT and one product; ``values`` is a fresh writable array on every
     call, and ``output_nodes`` is the cached read-only y.
-
-    A ``plan`` only fixes (n, the calibrated sign) and holds no tables;
-    passing one checks it against the signal, and omitting it uses a cached
-    plan for n.
     """
     if params.b == 0:
         raise DegenerateParameterError(
@@ -243,40 +233,33 @@ def fast_lct(
         params.require_unimodular(unimodular_tol)
     _require_asymptotic_grid(signal.grid)
     n = signal.grid.n
-    if plan is None:
-        plan = _cached_plan(n)
-    elif plan.n != n or plan.direction_sign != DFT_SIGN:
-        raise ShapeError(
-            f"plan is for (n={plan.n}, sign={plan.direction_sign}); "
-            f"this transform needs (n={n}, sign={DFT_SIGN})"
-        )
     pre, post, y = _fused_factors(n, params.a, params.b, params.d)
     values = pre * signal.values
-    apply_dft(plan, values, out=values)
+    apply_dft(_cached_plan(n), values, out=values)
     values *= post
     return TransformResult(params=params, output_nodes=y, values=values, n=n)
 
 
-def xft_fourier(signal: Signal, *, plan: DftPlan | None = None) -> TransformResult:
+def xft_fourier(signal: Signal) -> TransformResult:
     """Fourier-kernel quadrature at y_j = 4*x_j/pi, without LCT normalization.
 
     Identical to sqrt(2*pi*i) * fast_lct at (0, 1, -1, 0): the bare kernel
     with the 1/sqrt(2*pi*i*b) prefactor removed.
     """
-    res = fast_lct(LctParams.fourier(), signal, plan=plan)
+    res = fast_lct(LctParams.fourier(), signal)
     values = res.values  # fresh on every call: scale it in place
     values *= np.sqrt(2j * np.pi)
     return res
 
 
-def fast_frft(angle: float, signal: Signal, *, plan: DftPlan | None = None) -> TransformResult:
+def fast_frft(angle: float, signal: Signal) -> TransformResult:
     """Fractional Fourier transform: fast_lct at (cos t, sin t, -sin t, cos t)."""
     params = LctParams.frft(angle)
     if params.b == 0:
         raise DegenerateParameterError(
             f"sin({angle}) = 0 is the identity/parity case; use lct_b_zero"
         )
-    return fast_lct(params, signal, plan=plan)
+    return fast_lct(params, signal)
 
 
 def lct_b_zero(params: LctParams, sampler, n: int) -> TransformResult:

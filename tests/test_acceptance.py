@@ -24,7 +24,6 @@ from xft import (
     QuadratureConfig,
     Signal,
     apply_dft,
-    apply_scaled_fourier,
     asymptotic_zeros,
     dense_lct_matrix,
     direct_quadrature_lct,
@@ -41,7 +40,6 @@ from xft.calibration import (
     FIGURE1_GAUSSIAN, FIGURE1_PARAMS, FIGURE1_N, FIGURE1_MAX_ABS,
     FIGURE2_GAUSSIAN, FIGURE2_PARAMS, FIGURE2_N, FIGURE2_MAX_ABS,
 )
-from xft.kernel import DFT_SIGN
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -159,7 +157,7 @@ def test_06_kernel_norm_scaling():
     worst = 0.0
     for n in (7, 64, 1000):
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        out = apply_scaled_fourier(v)
+        out = xft_fourier(Signal(asymptotic_zeros(n), v)).values
         lhs = float(np.sum(np.abs(out) ** 2))
         rhs = (np.pi ** 2 / 2) * float(np.sum(np.abs(v) ** 2))
         worst = max(worst, abs(lhs - rhs) / rhs)
@@ -204,18 +202,17 @@ def test_08_complexity_scaling():
     for e in range(15, 20):
         n = 1 << e
         sig = gaussian_sample(g, asymptotic_zeros(n))
-        plan = plan_dft(n, DFT_SIGN)
-        fast_lct(params, sig, plan=plan)  # warmup
-        cases[n] = (sig, plan)
+        fast_lct(params, sig)  # warmup
+        cases[n] = sig
     rounds = 20
     best = dict.fromkeys(cases, math.inf)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(rounds):
-            for n, (sig, plan) in cases.items():
+            for n, sig in cases.items():
                 t0 = time.perf_counter()
-                fast_lct(params, sig, plan=plan)
+                fast_lct(params, sig)
                 best[n] = min(best[n], time.perf_counter() - t0)
     finally:
         if gc_was_enabled:

@@ -167,6 +167,16 @@ class TestCompare:
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(summary.split(",")[1]) <= 1e-12
 
+    def test_no_unimodular_check_reaches_every_transform(self, tmp_path, capsys):
+        # det = 5e-7: accepted only because the check is off, on both paths
+        common = ["compare", "--n", "16", "--params", "1,1,1,1.0000005",
+                  "--no-unimodular-check", "--function", "gaussian:1,0,0",
+                  "--output", str(tmp_path / "e.csv")]
+        assert main(common + ["--oracle", "dense"]) == 0
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert float(summary.split(",")[1]) <= 1e-12
+        assert main(common + ["--inverse"]) == 0
+
     def test_threshold_violation_exits_5(self, tmp_path):
         rc = main(["compare", "--n", "64", "--params", "1,2,0.5,2",
                    "--function", "gaussian:1,2,3", "--oracle", "closed-form",
@@ -227,6 +237,11 @@ class TestBench:
         out = tmp_path / "bench.tsv"
         assert main(["bench", "--sizes", "196608", "--repeats", "1",
                      "--output", str(out)]) == 0
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one_exits_2(self, repeats, capsys):
+        assert main(["bench", "--sizes", "16", "--repeats", repeats]) == 2
+        assert "--repeats" in capsys.readouterr().err
 
 
 class TestConsoleEntry:

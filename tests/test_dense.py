@@ -207,8 +207,7 @@ class TestDenseLct:
 
     def test_kernel_norm_identity_n8(self):
         # F F^H = (pi^2/2) I for the scaled Fourier kernel factor
-        from xft import scaled_fourier_matrix
-        f = scaled_fourier_matrix(8)
+        f = np.sqrt(2j * np.pi) * dense_lct_matrix(8, LctParams.fourier()).entries
         assert np.max(np.abs(f @ np.conj(f.T) - (np.pi ** 2 / 2) * np.eye(8))) <= 1e-10
 
     def test_rejects_b_zero(self):

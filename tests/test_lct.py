@@ -1,11 +1,14 @@
 """Fast transform path: equivalence with the dense oracle and special cases."""
+import importlib
 import math
+import pkgutil
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import xft
 from xft import (
     DFT_SIGN,
     DegenerateParameterError,
@@ -34,7 +37,6 @@ from xft.kernel import (
     input_chirp,
     kernel_prefactor,
     output_chirp,
-    scaled_fourier_matrix,
 )
 from xft.lct import _fused_factors
 
@@ -324,7 +326,8 @@ class TestFrozenKernelSign:
         grid = asymptotic_zeros(n)
         sig = gaussian_sample(g, grid)
         y = (4 * params.b / np.pi) * grid.nodes
-        flipped = np.conj(scaled_fourier_matrix(n))  # the +1 sign kernel
+        fourier = np.sqrt(2j * np.pi) * dense_lct_matrix(n, LctParams.fourier()).entries
+        flipped = np.conj(fourier)  # the +1 sign kernel
         from xft.kernel import input_chirp, output_chirp
         wrong = (output_chirp(params.d, params.b, y)[:, None]
                  * flipped * input_chirp(params.a, params.b, grid.nodes)[None, :]
@@ -454,3 +457,15 @@ class TestAliasingDiagnostic:
         sq = grid.nodes ** 2
         assert chirp_phase_step(params, grid) == pytest.approx(
             np.max(np.abs(np.diff(sq))), rel=1e-14)
+
+
+def test_public_names_resolve_and_removed_paths_stay_gone():
+    for info in pkgutil.iter_modules(xft.__path__):
+        module = importlib.import_module(f"xft.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"xft.{info.name}.__all__ names {name}"
+    for name in xft.__all__:
+        assert hasattr(xft, name), f"xft.__all__ names {name}"
+    for removed in ("apply_scaled_fourier", "scaled_fourier_matrix"):
+        assert not hasattr(xft, removed) and not hasattr(xft.kernel, removed)
+    assert not hasattr(Signal, "sample")
