@@ -210,10 +210,13 @@ def _oracle_values(args, params, signal, g, result):
     if args.oracle == "quadrature":
         if g is None:
             raise ParameterError("quadrature oracle needs a callable builtin input")
-        if args.oracle_radius is None:
-            cfg = QuadratureConfig.for_gaussian(g, tol=args.oracle_tol)
-        else:
-            cfg = QuadratureConfig(radius=args.oracle_radius, tol=args.oracle_tol)
+        try:
+            if args.oracle_radius is None:
+                cfg = QuadratureConfig.for_gaussian(g, tol=args.oracle_tol)
+            else:
+                cfg = QuadratureConfig(radius=args.oracle_radius, tol=args.oracle_tol)
+        except ParameterError as exc:
+            raise _UsageError(f"bad quadrature setting: {exc}") from exc
         return quadrature_on_nodes(params, g.evaluate, result.output_nodes, cfg)
     if args.oracle == "dense":
         return dense_lct_matrix(result.n, params).apply(signal.values)

@@ -5,9 +5,10 @@ the symmetric Jacobi matrix of the Hermite recurrence,
 
     F_z = sqrt(2*pi) * U^T D(z) U,     D(z) = diag(1, z, ..., z^{n-1}),
 
-where column k of U is the unit eigenvector with eigenvalue equal to the k-th
-exact Hermite zero, plus the chirp-factored LCT matrix on the asymptotic
-grid, built from the fast path's own factor vectors.  Matrices are
+where column k of U is the unit eigenvector (numpy's ``eigh``, signed by its
+last row) whose eigenvalue is the k-th exact Hermite zero, plus the chirp-
+factored LCT matrix on the asymptotic grid, built from the fast path's own
+factor vectors.  Matrices are
 materialized only up to n = 4096 (memory guard; the dense path is a test
 oracle, not the product).
 
@@ -22,13 +23,12 @@ import numpy as np
 
 from .errors import (
     DegenerateParameterError,
-    InvalidSizeError,
     ParameterError,
     ShapeError,
     SingularParameterError,
 )
 from .fftcore import dft_matrix
-from .hermite import _psi_rows_rescaled, asymptotic_zeros, exact_hermite_zeros
+from .hermite import MAX_DENSE_N, _jacobi_eigh, _require_dense_size, asymptotic_zeros
 from .kernel import DFT_SIGN
 from .lct import LctParams, _fused_factors
 
@@ -43,7 +43,6 @@ __all__ = [
     "dense_lct_matrix",
 ]
 
-MAX_DENSE_N = 4096
 _UNIT_DISK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
 
@@ -82,38 +81,23 @@ class DenseTransform:
         return self.entries @ v
 
 
-def _guard_dense_size(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidSizeError(f"size must be a positive integer, got {n!r}")
-    if n > MAX_DENSE_N:
-        raise InvalidSizeError(
-            f"dense path materializes only n <= {MAX_DENSE_N} (got {n})"
-        )
-
-
 def eigenvector_matrix(n: int) -> np.ndarray:
-    """Orthogonal eigenvector matrix U of the symmetrized Jacobi matrix.
+    """Orthogonal eigenvector matrix U of the symmetric Jacobi matrix.
 
-    U[m, k] = psi_m(x_k) / norm of column k, with x_k the k-th exact Hermite
-    zero (ascending).  Column normalization is algebraically the explicit
-    closed-form constant (Christoffel-Darboux gives sum_m psi_m(x_k)^2 =
-    n * psi_{n-1}(x_k)^2), and fixes the sign so the mode-0 component is
-    positive.  Satisfies H U = U diag(x_k) and U^T U = I to rounding.
+    U[m, k] = psi_m(x_k) / sqrt(sum_m psi_m(x_k)^2), with x_k the k-th exact
+    Hermite zero (ascending).  numpy's ``eigh`` gives each column up to
+    sign; the sign is fixed on the last row, where U[n-1, k] has the sign
+    (-1)^(n-1-k) of psi_{n-1}(x_k) and never underflows.  The mode-0 row
+    U[0, k] is then positive wherever it is above rounding (at the edge
+    zeros it is rounding noise once n reaches ~512).  Satisfies
+    H U = U diag(x_k) and U^T U = I to rounding for every n <= MAX_DENSE_N.
     """
-    _guard_dense_size(n)
-    zeros = exact_hermite_zeros(n)
-    rows = _psi_rows_rescaled(n, zeros)
-    norms = np.linalg.norm(rows, axis=0)
-    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        raise ParameterError(
-            f"eigenvector columns lost all precision at n = {n}"
-        )
-    return rows / norms
+    _require_dense_size(n)
+    return _jacobi_eigh(n, vectors=True)
 
 
 def frft_matrix(n: int, order: FrftOrder) -> DenseTransform:
     """Discrete fractional Fourier matrix sqrt(2*pi) U^T D(z) U."""
-    _guard_dense_size(n)
     z = complex(order.z)
     u = eigenvector_matrix(n)
     weights = z ** np.arange(n)
@@ -144,7 +128,7 @@ def frft_matrix_asymptotic(n: int, order: FrftOrder) -> DenseTransform:
     Approaches frft_matrix entrywise as n grows for fixed z strictly inside
     the unit disk.
     """
-    _guard_dense_size(n)
+    _require_dense_size(n)
     grid = asymptotic_zeros(n)
     x = grid.nodes
     entries = mehler_kernel(order, x[:, None], x[None, :]) * grid.spacing
@@ -163,7 +147,7 @@ def dense_lct_matrix(n: int, params: LctParams) -> DenseTransform:
     y_j = 4 b x_j / pi.  Applying L to a sample vector reproduces fast_lct
     up to rounding, arithmetic reordered.
     """
-    _guard_dense_size(n)
+    _require_dense_size(n)
     if params.b == 0:
         raise DegenerateParameterError("b = 0 has no kernel matrix; use lct_b_zero")
     pre, post, _ = _fused_factors(n, params.a, params.b, params.d)

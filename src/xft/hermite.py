@@ -10,9 +10,11 @@ Hermite functions
 
     psi_m(x) = H_m(x) exp(-x^2/2) / sqrt(2^m m! sqrt(pi))
 
-back the dense reference path.  All evaluation goes through the three-term
-recurrence on psi directly; the raw quantities H_m, 2^m and m! are never
-materialized (they overflow double precision near m ~ 300).
+at them back the dense reference path, both from a numpy eigensolve of the
+Jacobi matrix of the recurrence (eigenvectors signed by their last row).
+``hermite_function_row``, the check on it, runs the three-term recurrence on
+psi directly; H_m, 2^m and m! are never materialized (they overflow double
+precision near m ~ 300).
 
 Indexing is 0-based throughout; a 1-based presentation of the same grid maps
 via k_1based = k + 1.
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidSizeError, ParameterError
+from .errors import InvalidSizeError
 
 __all__ = [
     "HermiteGrid",
@@ -34,9 +37,8 @@ __all__ = [
     "hermite_function_row",
 ]
 
-# Dynamic-range guards for the rescaled recurrences.
-_RESCALE_LIMIT = 1e250
-_PAIR_LIMIT = 1e100
+# Largest n the dense path (exact zeros, eigenvectors, matrices) builds.
+MAX_DENSE_N = 4096
 
 
 def _require_size(n: int) -> None:
@@ -78,15 +80,24 @@ def grid_spacing(n: int) -> float:
 
 
 def asymptotic_zeros(n: int) -> HermiteGrid:
-    """Build the n-point grid of asymptotic Hermite zeros.
+    """The n-point grid of asymptotic Hermite zeros, one shared grid per n.
 
     nodes[k] = pi * (2k - n + 1) / (2 * sqrt(2n)).  The integer factor keeps
-    antisymmetry exact: nodes[k] == -nodes[n-1-k] in floating point.
+    antisymmetry exact: nodes[k] == -nodes[n-1-k] in floating point.  The
+    grid for each of the 32 most recent sizes is cached, so repeat calls
+    return the same object; its nodes are read-only.
     """
     _require_size(n)
+    return _asymptotic_grid(int(n))
+
+
+@lru_cache(maxsize=32)
+def _asymptotic_grid(n: int) -> HermiteGrid:
     half = grid_spacing(n) / 2.0
     offsets = 2 * np.arange(n) - (n - 1)
-    return HermiteGrid(n=n, nodes=offsets * half, spacing=2.0 * half)
+    nodes = offsets * half
+    nodes.setflags(write=False)
+    return HermiteGrid(n=n, nodes=nodes, spacing=2.0 * half)
 
 
 def hermite_function_row(n_max: int, x: float) -> np.ndarray:
@@ -112,124 +123,38 @@ def hermite_function_row(n_max: int, x: float) -> np.ndarray:
     return out
 
 
-def _psi_rows_rescaled(n_max: int, xs: np.ndarray) -> np.ndarray:
-    """psi_m(x_j) table on an arbitrary positive per-column scale.
-
-    Runs the recurrence on psi_m * exp(+x^2/2) (same linear recurrence, no
-    Gaussian seed) and rescales a column whenever it threatens to overflow,
-    so columns at large |x| stay representable.  Within one column all
-    entries share a common scale; callers may normalize columns freely.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ncol = xs.size
-    rows = np.zeros((n_max, ncol))
-    p = np.full(ncol, math.pi ** -0.25)
-    rows[0] = p
-    if n_max == 1:
-        return rows
-    q = math.sqrt(2.0) * xs * p
-    rows[1] = q
-    for m in range(1, n_max - 1):
-        p, q = q, xs * math.sqrt(2.0 / (m + 1)) * q - math.sqrt(m / (m + 1.0)) * p
-        big = np.abs(q) > _RESCALE_LIMIT
-        if np.any(big):
-            rows[: m + 1, big] *= 1.0 / _RESCALE_LIMIT
-            p = np.where(big, p / _RESCALE_LIMIT, p)
-            q = np.where(big, q / _RESCALE_LIMIT, q)
-        rows[m + 1] = q
-    return rows
-
-
-def _psi_top_pair(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi_{n-1}, psi_n) at each x, renormalized elementwise.
-
-    Only the ratio and the signs are meaningful; both are preserved exactly
-    by the positive renormalization.  Used by the Newton zero finder, whose
-    step is -psi_n / (-x psi_n + sqrt(2n) psi_{n-1}).
-    """
-    xs = np.asarray(xs, dtype=float)
-    p = np.full(xs.shape, math.pi ** -0.25)
-    q = math.sqrt(2.0) * xs * p
-    for m in range(1, n):
-        p, q = q, xs * math.sqrt(2.0 / (m + 1)) * q - math.sqrt(m / (m + 1.0)) * p
-        s = np.maximum(np.abs(p), np.abs(q))
-        off = (s > _PAIR_LIMIT) | ((s < 1.0 / _PAIR_LIMIT) & (s > 0.0))
-        if np.any(off):
-            p = np.where(off, p / s, p)
-            q = np.where(off, q / s, q)
-    return p, q
-
-
-def _positive_zero_brackets(n: int, tries: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-change brackets for the floor(n/2) positive zeros of H_n.
-
-    All positive zeros lie in (0, sqrt(2n+1)); their minimal gap is about
-    pi/sqrt(2n+1), so a scan at a third of that step isolates each one.
-    """
-    expected = n // 2
-    upper = math.sqrt(2.0 * n + 1.0)
-    count = int(math.ceil(3.0 * upper * upper / math.pi)) + 16
-    for _ in range(tries):
-        xs = np.linspace(1e-12, upper + 0.5, count)
-        _, q = _psi_top_pair(n, xs)
-        sgn = np.sign(q)
-        hits = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if len(hits) == expected:
-            return xs[hits], xs[hits + 1]
-        count *= 2
-    raise ConvergenceError(
-        f"could not isolate the {expected} positive zeros of H_{n}", index=None
-    )
-
-
-def exact_hermite_zeros(n: int, tol: float = 1e-14) -> np.ndarray:
-    """All n real zeros of the degree-n Hermite polynomial, ascending.
-
-    Newton iteration on psi_n via the renormalized pair recurrence, run
-    inside sign-change brackets with bisection fallback.  The equispaced
-    asymptotic grid fixes the scan resolution, but is not trusted as a
-    per-root starting point: near the spectrum edge those guesses land
-    several roots away from their target.  Antisymmetry is exact by
-    construction (negative zeros mirror the positive ones).
-
-    Raises ConvergenceError (carrying the offending root index) if a
-    bracket fails to converge within 100 iterations.
-    """
+def _require_dense_size(n: int) -> None:
     _require_size(n)
-    if tol <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
-    if n == 1:
-        return np.zeros(1)
-
-    lo, hi = _positive_zero_brackets(n)
-    slo = np.sign(_psi_top_pair(n, lo)[1])
-    x = 0.5 * (lo + hi)
-    root_n2 = math.sqrt(2.0 * n)
-    converged = np.zeros(x.shape, dtype=bool)
-    for _ in range(100):
-        p, q = _psi_top_pair(n, x)
-        deriv = -x * q + root_n2 * p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(deriv != 0.0, q / deriv, 0.0)
-        xn = x - step
-        outside = ~((xn > lo) & (xn < hi))
-        xn = np.where(outside, 0.5 * (lo + hi), xn)
-        qn = _psi_top_pair(n, xn)[1]
-        same_side = np.sign(qn) == slo
-        lo = np.where(same_side, xn, lo)
-        hi = np.where(same_side, hi, xn)
-        converged |= np.abs(xn - x) <= tol * np.maximum(1.0, np.abs(xn))
-        x = xn
-        if converged.all():
-            break
-    else:
-        bad = int(np.nonzero(~converged)[0][0])
-        raise ConvergenceError(
-            f"Hermite zero finder did not converge for positive root {bad} of H_{n}",
-            index=bad + (n + 1) // 2,
+    if n > MAX_DENSE_N:
+        raise InvalidSizeError(
+            f"dense path materializes only n <= {MAX_DENSE_N} (got {n})"
         )
 
-    positive = x
-    if n % 2 == 1:
-        return np.concatenate([-positive[::-1], [0.0], positive])
-    return np.concatenate([-positive[::-1], positive])
+
+def _jacobi_eigh(n: int, vectors: bool) -> np.ndarray:
+    """Eigenvalues, or else eigenvectors, of the n x n Jacobi matrix J_n.
+
+    J_n is tridiagonal with off-diagonal sqrt(m/2), m = 1..n-1.  Its
+    eigenvalues are the zeros x_k of H_n, and the eigenvector of x_k is
+    proportional to (psi_0(x_k) .. psi_{n-1}(x_k)) (Golub & Welsch, Math.
+    Comp. 1969).  The eigenvalues are made exactly antisymmetric; column k of
+    U is signed so that U[n-1, k] has the sign (-1)^(n-1-k) of psi_{n-1}(x_k).
+    """
+    jacobi = np.diag(np.sqrt(np.arange(1, n) / 2.0), -1)
+    if not vectors:
+        w = np.linalg.eigvalsh(jacobi)
+        return 0.5 * (w - w[::-1])
+    u = np.linalg.eigh(jacobi)[1]
+    u *= np.copysign(1.0, u[-1]) * (-1.0) ** (n - 1 - np.arange(n))
+    return u
+
+
+def exact_hermite_zeros(n: int) -> np.ndarray:
+    """All n real zeros of the degree-n Hermite polynomial, ascending.
+
+    The eigenvalues of the Jacobi matrix J_n from numpy's symmetric
+    eigensolver (``eigvalsh``), symmetrized so that antisymmetry is exact.
+    Shares the dense guard: n <= MAX_DENSE_N, else InvalidSizeError.
+    """
+    _require_dense_size(n)
+    return _jacobi_eigh(n, vectors=False)

@@ -150,13 +150,6 @@ def _cached_plan(n: int) -> DftPlan:
     return plan_dft(n, DFT_SIGN)
 
 
-@lru_cache(maxsize=32)
-def _reference_grid(n: int) -> HermiteGrid:
-    grid = asymptotic_zeros(n)
-    grid.nodes.setflags(write=False)
-    return grid
-
-
 def _mirrored(chirp, coef: float, b: float, nodes: np.ndarray) -> np.ndarray:
     """chirp(coef, b, nodes) for nodes with nodes[k] == -nodes[n-1-k].
 
@@ -179,7 +172,7 @@ def _fused_factors(
     holds 40*n bytes.  fast_lct and dense_lct_matrix are both built from
     pre and post.
     """
-    x = _reference_grid(n).nodes
+    x = asymptotic_zeros(n).nodes
     y = (4.0 * b / np.pi) * x
     p = boundary_phase(n)
     pre = _mirrored(input_chirp, a, b, x)
@@ -193,7 +186,7 @@ def _fused_factors(
 
 
 def _require_asymptotic_grid(grid: HermiteGrid) -> None:
-    expected = _reference_grid(grid.n)
+    expected = asymptotic_zeros(grid.n)
     if grid is expected:
         return
     if (abs(grid.spacing - expected.spacing) > 1e-9
@@ -208,7 +201,6 @@ def fast_lct(
     signal: Signal,
     *,
     check_unimodular: bool = True,
-    unimodular_tol: float = UNIMODULAR_TOL,
 ) -> TransformResult:
     """Linear canonical transform of a sampled signal in O(n log n).
 
@@ -230,7 +222,7 @@ def fast_lct(
             "b = 0 is the scaling branch; use lct_b_zero with a resampling callable"
         )
     if check_unimodular:
-        params.require_unimodular(unimodular_tol)
+        params.require_unimodular()
     _require_asymptotic_grid(signal.grid)
     n = signal.grid.n
     pre, post, y = _fused_factors(n, params.a, params.b, params.d)

@@ -85,6 +85,12 @@ class QuadratureConfig:
     initial_points: int = 2049
     max_points: int = 2 ** 22
 
+    def __post_init__(self):
+        for name in ("radius", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+
     @classmethod
     def for_gaussian(cls, g: GaussianParams, **kwargs) -> "QuadratureConfig":
         """Radius 12/sqrt(alpha), far below the 1e-18 decay level."""

@@ -31,6 +31,10 @@ class TestGrid:
         rows = read_csv(out, "k,x")
         assert rows[:, 1] == pytest.approx([-1.2247449, 0.0, 1.2247449], abs=1e-6)
 
+    def test_exact_grid_beyond_dense_guard_exits_2(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert main(["grid", "--n", "4097", "--exact", "--output", str(out)]) == 2
+
 
 class TestTransform:
     def test_figure_configuration_rows(self, tmp_path):
@@ -189,6 +193,14 @@ class TestCompare:
                    "--oracle-tol", "1e-10",
                    "--max-abs", "1e-9", "--output", str(tmp_path / "e.csv")])
         assert rc == 0
+
+    @pytest.mark.parametrize("flag", ["--oracle-radius", "--oracle-tol"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_quadrature_setting_exits_2(self, tmp_path, flag, value):
+        rc = main(["compare", "--n", "16", "--preset", "fourier",
+                   "--function", "gaussian:1,0,0", "--oracle", "quadrature",
+                   flag, value, "--output", str(tmp_path / "e.csv")])
+        assert rc == 2
 
     def test_inverse_round_trip(self, tmp_path, capsys):
         rc = main(["compare", "--n", "256", "--params", "1,2,0.5,2",

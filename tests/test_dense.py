@@ -97,7 +97,11 @@ class TestFrftMatrix:
         assert np.linalg.norm(f @ np.conj(f.T) @ v - v) <= 1e-9 * np.linalg.norm(v)
         assert np.max(np.abs(f @ np.conj(f.T) - np.eye(32))) <= 1e-9
 
-    @pytest.mark.parametrize("n", [8, 24, 64])
+    def test_unitarity_on_circle_n1024(self):
+        f = frft_matrix(1024, FrftOrder(np.exp(0.9j))).entries / SQRT_2PI
+        assert np.max(np.abs(f @ np.conj(f.T) - np.eye(1024))) <= 1e-9
+
+    @pytest.mark.parametrize("n", [8, 24, 64, 512])
     def test_matches_normalized_sum_formula(self, n):
         # Same matrix from the explicit closed-form normalization:
         # F[j,k] = sqrt(2pi) (-1)^{j+k} sum_m z^m psi_m(x_j) psi_m(x_k)

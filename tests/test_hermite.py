@@ -7,7 +7,6 @@ import pytest
 
 from xft import (
     InvalidSizeError,
-    ParameterError,
     asymptotic_zeros,
     exact_hermite_zeros,
     grid_spacing,
@@ -52,6 +51,20 @@ class TestAsymptoticZeros:
     def test_rejects_zero_size(self):
         with pytest.raises(InvalidSizeError):
             asymptotic_zeros(0)
+
+    def test_one_read_only_grid_per_size(self):
+        grid = asymptotic_zeros(37)
+        assert asymptotic_zeros(37) is grid
+        assert asymptotic_zeros(np.int64(37)) is grid
+        assert grid.n == 37 and type(grid.n) is int
+        assert not grid.nodes.flags.writeable
+        with pytest.raises(ValueError):
+            grid.nodes[0] = 0.0
+
+    def test_rejects_float_size_even_when_cached(self):
+        asymptotic_zeros(3)
+        with pytest.raises(InvalidSizeError):
+            asymptotic_zeros(3.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 101, 512])
     def test_grid_invariants(self, n):
@@ -127,8 +140,17 @@ class TestExactZeros:
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidSizeError):
             exact_hermite_zeros(0)
-        with pytest.raises(ParameterError):
-            exact_hermite_zeros(4, tol=-1.0)
+        with pytest.raises(InvalidSizeError):
+            exact_hermite_zeros(4097)  # the dense size guard
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_newton_step_against_recurrence(self, n):
+        # psi_n'(x_k) = sqrt(2n) psi_{n-1}(x_k) at a zero, so this ratio is
+        # the distance Newton's method would still move x_k.
+        for x in exact_hermite_zeros(n):
+            row = hermite_function_row(n + 1, x)
+            step = abs(row[n]) / (math.sqrt(2 * n) * abs(row[n - 1]))
+            assert step <= 1e-13 * max(1.0, abs(x))
 
 
 class TestHermiteFunctionRow:

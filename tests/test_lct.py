@@ -1,5 +1,6 @@
 """Fast transform path: equivalence with the dense oracle and special cases."""
 import importlib
+import inspect
 import math
 import pkgutil
 import sys
@@ -151,6 +152,18 @@ class TestFastLct:
         grid = HermiteGrid(n=8, nodes=nodes, spacing=nodes[1] - nodes[0])
         with pytest.raises(GridMismatchError):
             fast_lct(LctParams.fourier(), Signal(grid, np.ones(8, dtype=complex)))
+
+    def test_hand_built_grid_is_compared_not_trusted(self):
+        ref = asymptotic_zeros(8)
+        values = np.ones(8, dtype=complex)
+        close = HermiteGrid(n=8, nodes=ref.nodes.copy(), spacing=ref.spacing)
+        assert np.array_equal(fast_lct(LctParams.fourier(), Signal(close, values)).values,
+                              fast_lct(LctParams.fourier(), Signal(ref, values)).values)
+        nodes = ref.nodes.copy()
+        nodes[3] += 1e-6
+        off = HermiteGrid(n=8, nodes=nodes, spacing=ref.spacing)
+        with pytest.raises(GridMismatchError):
+            fast_lct(LctParams.fourier(), Signal(off, values))
 
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_matches_dense_path(self, n):
@@ -469,3 +482,4 @@ def test_public_names_resolve_and_removed_paths_stay_gone():
     for removed in ("apply_scaled_fourier", "scaled_fourier_matrix"):
         assert not hasattr(xft, removed) and not hasattr(xft.kernel, removed)
     assert not hasattr(Signal, "sample")
+    assert "unimodular_tol" not in inspect.signature(fast_lct).parameters

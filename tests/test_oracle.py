@@ -124,6 +124,12 @@ class TestDirectQuadrature:
         with pytest.raises(DegenerateParameterError):
             direct_quadrature_lct(LctParams(1.0, 0.0, 0.0, 1.0), np.exp, 0.0)
 
+    @pytest.mark.parametrize("field", ["radius", "tol"])
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_config_rejects_bad_radius_or_tol(self, field, value):
+        with pytest.raises(ParameterError):
+            QuadratureConfig(**{field: value})
+
     def test_nodes_helper_matches_scalar(self):
         g, params = FIG1
         cfg = QuadratureConfig.for_gaussian(g)
