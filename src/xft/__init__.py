@@ -54,7 +54,6 @@ from .oracle import (
     direct_quadrature_lct,
     gaussian_lct_closed_form,
     gaussian_sample,
-    quadrature_on_nodes,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +70,6 @@ __all__ = [
     "FrftOrder", "DenseTransform", "eigenvector_matrix", "frft_matrix",
     "mehler_kernel", "frft_matrix_asymptotic", "dense_lct_matrix",
     "GaussianParams", "ErrorReport", "QuadratureConfig", "gaussian_sample",
-    "gaussian_lct_closed_form", "direct_quadrature_lct", "quadrature_on_nodes",
-    "compare",
+    "gaussian_lct_closed_form", "direct_quadrature_lct", "compare",
     "__version__",
 ]

@@ -27,9 +27,9 @@ from .oracle import (
     GaussianParams,
     QuadratureConfig,
     compare,
+    direct_quadrature_lct,
     gaussian_lct_closed_form,
     gaussian_sample,
-    quadrature_on_nodes,
 )
 
 EXIT_OK = 0
@@ -217,7 +217,7 @@ def _oracle_values(args, params, signal, g, result):
                 cfg = QuadratureConfig(radius=args.oracle_radius, tol=args.oracle_tol)
         except ParameterError as exc:
             raise _UsageError(f"bad quadrature setting: {exc}") from exc
-        return quadrature_on_nodes(params, g.evaluate, result.output_nodes, cfg)
+        return direct_quadrature_lct(params, g.evaluate, result.output_nodes, cfg)
     if args.oracle == "dense":
         return dense_lct_matrix(result.n, params).apply(signal.values)
     raise _UsageError(f"unknown oracle {args.oracle!r}")

@@ -35,14 +35,7 @@ class GridMismatchError(ShapeError):
 
 
 class ConvergenceError(XftError, RuntimeError):
-    """An iteration failed to converge within its cap.
-
-    Carries ``index``: the offending node/root index when applicable.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """An iteration failed to converge within its cap."""
 
 
 class TruncationWarning(UserWarning):

@@ -65,32 +65,22 @@ def _cis(phase: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _boundary_phase_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    m = math.isqrt(n - 1) + 1
-    phase = np.arange(m, dtype=float)
-    phase *= DFT_SIGN * np.pi / n
-    cols = _cis(phase)
-    cols[1::2] *= -1
-    rows = _cis(m * phase)
-    if m % 2:
-        rows[1::2] *= -1
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def boundary_phase(n: int) -> np.ndarray:
     """Diagonal phase p[k] bracketing the plain DFT inside the kernel.
 
-    p[k] = exp(-DFT_SIGN * 1j*pi*(n-1)*k/n) = z^k with z = -exp(DFT_SIGN *
-    1j*pi/n).  Writing k = i*m + j with m = ceil(sqrt(n)), p[k] is the
-    product of rows[i] = z^(i*m) and cols[j] = z^j: two cached m-entry tables
-    (32*m bytes, 32 KiB at n = 2^20) evaluated at phases of at most about pi,
-    then n products, so each entry is within a few ulp.  Returns a fresh
-    array.
+    p[k] = exp(-DFT_SIGN * 1j*pi*(n-1)*k/n) = (-1)^k * w^k with w =
+    exp(DFT_SIGN * 1j*pi/n).  Writing k = i*m + j with m = ceil(sqrt(n)),
+    w^k is the product of w^(i*m) and w^j: two m-entry tables evaluated at
+    phases of at most about pi, so each entry is within a few ulp, and n
+    products in place of n sines and n cosines.  Cached for the 32 most
+    recent n; the returned array is read-only.
     """
-    rows, cols = _boundary_phase_tables(n)
-    return (rows[:, None] * cols).ravel()[:n]
+    m = math.isqrt(n - 1) + 1
+    phase = np.arange(m) * (DFT_SIGN * np.pi / n)
+    out = (_cis(m * phase)[:, None] * _cis(phase)).ravel()[:n]
+    out[1::2] *= -1
+    out.setflags(write=False)
+    return out
 
 
 def input_chirp(a: float, b: float, x: np.ndarray) -> np.ndarray:

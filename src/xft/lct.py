@@ -119,13 +119,19 @@ class LctParams:
 
 @dataclass(frozen=True)
 class Signal:
-    """Complex samples aligned to a HermiteGrid."""
+    """Samples aligned to a HermiteGrid.
+
+    float64 and complex128 values are kept as given, without a copy; any
+    other dtype is cast to complex128.
+    """
 
     grid: HermiteGrid
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        if values.dtype not in (np.float64, np.complex128):
+            values = values.astype(complex)
         if values.ndim != 1 or values.shape[0] != self.grid.n:
             raise ShapeError(
                 f"signal has {values.shape} values for an n={self.grid.n} grid"

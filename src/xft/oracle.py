@@ -8,6 +8,9 @@ Two independent oracles for Gaussian-class inputs f(x) = exp(-(alpha x^2 +
 * ``direct_quadrature_lct`` - composite trapezoid evaluation of the defining
   integral with embedded step-halving self-consistency.
 
+Both take a scalar output point y and return a complex scalar, or an array
+of points and return an array of the same shape.
+
 The quadrature is authoritative: the closed form is validated against it
 (they agree to ~1e-15 on both reference configurations), and any future
 disagreement should be resolved in the quadrature's favor.
@@ -15,7 +18,6 @@ disagreement should be resolved in the quadrature's favor.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -38,7 +40,6 @@ __all__ = [
     "gaussian_sample",
     "gaussian_lct_closed_form",
     "direct_quadrature_lct",
-    "quadrature_on_nodes",
     "compare",
 ]
 
@@ -99,7 +100,7 @@ class QuadratureConfig:
 
 def gaussian_sample(g: GaussianParams, grid: HermiteGrid) -> Signal:
     """Sample the Gaussian on a grid."""
-    return Signal(grid=grid, values=g.evaluate(grid.nodes).astype(complex))
+    return Signal(grid=grid, values=g.evaluate(grid.nodes))
 
 
 def gaussian_lct_closed_form(g: GaussianParams, params: LctParams, y):
@@ -129,11 +130,25 @@ def gaussian_lct_closed_form(g: GaussianParams, params: LctParams, y):
     return complex(out) if out.ndim == 0 else out
 
 
-def _quadrature_vector(params: LctParams, f, ys: np.ndarray,
-                       cfg: QuadratureConfig) -> np.ndarray:
+def direct_quadrature_lct(params: LctParams, f, y,
+                          cfg: QuadratureConfig | None = None):
+    """Brute-force transform value at output point(s) y.
+
+    Composite trapezoid over [-radius, radius], step-halved until two
+    refinements agree to cfg.tol (the embedded self-consistency check);
+    raises ConvergenceError past cfg.max_points and warns TruncationWarning
+    when f has not decayed at the interval ends.  Requires b != 0.  Scalar y
+    in, complex scalar out; array in, array out.
+    """
+    if params.b == 0:
+        raise DegenerateParameterError("quadrature oracle defined for b != 0 only")
+    if cfg is None:
+        cfg = QuadratureConfig()
     a, b, _, d = params.as_tuple()
+    y = np.asarray(y, dtype=float)
+    ys = y.ravel()
     if ys.size == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(y.shape, dtype=complex)
     radius = float(cfg.radius)
     points = max(int(cfg.initial_points), 3)
     if points % 2 == 0:
@@ -145,7 +160,7 @@ def _quadrature_vector(params: LctParams, f, ys: np.ndarray,
             f"integrand has not decayed at +-{radius} "
             f"(|f| ~ {max(edge[0], edge[2]):.2e}); increase the radius",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
 
     norm = np.sqrt(2j * np.pi * b)
@@ -165,7 +180,7 @@ def _quadrature_vector(params: LctParams, f, ys: np.ndarray,
         if previous is not None:
             drift = np.max(np.abs(out - previous))
             if drift <= cfg.tol * max(1.0, float(np.max(np.abs(out)))):
-                return out
+                return complex(out[0]) if y.ndim == 0 else out.reshape(y.shape)
         if 2 * points - 1 > cfg.max_points:
             raise ConvergenceError(
                 f"quadrature not self-consistent to {cfg.tol} within "
@@ -173,50 +188,6 @@ def _quadrature_vector(params: LctParams, f, ys: np.ndarray,
             )
         previous = out
         points = 2 * points - 1
-
-
-def direct_quadrature_lct(params: LctParams, f, y: float,
-                          cfg: QuadratureConfig | None = None) -> complex:
-    """Brute-force transform value at one output point y.
-
-    Composite trapezoid over [-radius, radius], step-halved until two
-    refinements agree to cfg.tol (the embedded self-consistency check);
-    raises ConvergenceError past cfg.max_points and warns TruncationWarning
-    when f has not decayed at the interval ends.  Requires b != 0.
-    """
-    if params.b == 0:
-        raise DegenerateParameterError("quadrature oracle defined for b != 0 only")
-    if cfg is None:
-        cfg = QuadratureConfig()
-    return complex(_quadrature_vector(params, f, np.array([float(y)]), cfg)[0])
-
-
-def quadrature_on_nodes(params: LctParams, f, ys,
-                        cfg: QuadratureConfig | None = None,
-                        threads: int | None = None) -> np.ndarray:
-    """Quadrature oracle over many output nodes.
-
-    Distinct nodes are independent; ``threads`` (default: the XFT_THREADS
-    environment variable, else 1) splits them across a thread pool.
-    """
-    if params.b == 0:
-        raise DegenerateParameterError("quadrature oracle defined for b != 0 only")
-    if cfg is None:
-        cfg = QuadratureConfig()
-    ys = np.asarray(ys, dtype=float)
-    if threads is None:
-        threads = int(os.environ.get("XFT_THREADS", "1") or "1")
-    threads = max(1, min(threads, ys.size))
-    if threads == 1:
-        return _quadrature_vector(params, f, ys, cfg)
-    # Imported here: concurrent.futures pulls in logging and queue, which
-    # would add ~0.4 MB to every process that imports xft.
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(ys, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda block: _quadrature_vector(params, f, block, cfg), chunks))
-    return np.concatenate(parts)
 
 
 def compare(result: TransformResult, oracle_values) -> ErrorReport:

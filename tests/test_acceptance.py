@@ -33,7 +33,6 @@ from xft import (
     gaussian_sample,
     naive_dft,
     plan_dft,
-    quadrature_on_nodes,
     xft_fourier,
 )
 from xft.calibration import (
@@ -80,8 +79,8 @@ def test_01_fast_dense_equivalence():
 def _figure_error(g, params, n):
     res = fast_lct(params, gaussian_sample(g, asymptotic_zeros(n)))
     sl = central_slice(n)
-    oracle = quadrature_on_nodes(params, g.evaluate, res.output_nodes[sl],
-                                 QuadratureConfig.for_gaussian(g), threads=1)
+    oracle = direct_quadrature_lct(params, g.evaluate, res.output_nodes[sl],
+                                   QuadratureConfig.for_gaussian(g))
     return float(np.max(np.abs(res.values[sl] - oracle)))
 
 

@@ -1,11 +1,14 @@
 """Command-line driver: exit codes, CSV formats, round trips, determinism."""
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xft
 from xft import GaussianParams, asymptotic_zeros, gaussian_sample
 from xft.calibration import FIGURE1_MAX_ABS
 from xft.cli import main
@@ -256,16 +259,20 @@ class TestBench:
         assert "--repeats" in capsys.readouterr().err
 
 
+def run_module(*args):
+    """``python -m xft.cli args`` in a child that imports this xft, installed or not."""
+    path = [str(Path(xft.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "xft.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "xft.cli", "grid", "--n", "2"],
-            capture_output=True, text=True)
+        proc = run_module("grid", "--n", "2")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "k,x"
 
     def test_bad_usage_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "xft.cli", "transform"],
-            capture_output=True, text=True)
+        proc = run_module("transform")
         assert proc.returncode == 2

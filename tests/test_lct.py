@@ -92,6 +92,15 @@ class TestSignal:
         with pytest.raises(ParameterError):
             Signal(asymptotic_zeros(2), np.array([1.0, np.nan]))
 
+    def test_real_samples_kept_without_copy(self):
+        samples = np.linspace(-1.0, 1.0, 4)
+        assert np.shares_memory(Signal(asymptotic_zeros(4), samples).values, samples)
+        samples[1] = np.nan
+        with pytest.raises(ParameterError):
+            Signal(asymptotic_zeros(4), samples)
+        single = Signal(asymptotic_zeros(4), np.ones(4, dtype=np.float32))
+        assert single.values.dtype == np.complex128
+
 
 class TestFastLct:
     def test_fourier_gaussian_n256(self):
@@ -286,6 +295,7 @@ class TestFactorCache:
         k = np.arange(n)
         direct = np.exp(-DFT_SIGN * 1j * np.pi * (((n - 1) * k) % (2 * n)) / n)
         assert np.max(np.abs(boundary_phase(n) - direct)) <= 2e-15
+        assert not boundary_phase(n).flags.writeable
 
     def test_concurrent_transforms_match_sequential(self):
         # More parameter sets than cache entries, so threads evict each
@@ -481,5 +491,8 @@ def test_public_names_resolve_and_removed_paths_stay_gone():
         assert hasattr(xft, name), f"xft.__all__ names {name}"
     for removed in ("apply_scaled_fourier", "scaled_fourier_matrix"):
         assert not hasattr(xft, removed) and not hasattr(xft.kernel, removed)
+    assert not hasattr(xft, "quadrature_on_nodes")
+    assert not hasattr(xft.oracle, "quadrature_on_nodes")
+    assert "threads" not in inspect.signature(direct_quadrature_lct).parameters
     assert not hasattr(Signal, "sample")
     assert "unimodular_tol" not in inspect.signature(fast_lct).parameters

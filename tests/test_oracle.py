@@ -20,7 +20,6 @@ from xft import (
     direct_quadrature_lct,
     gaussian_lct_closed_form,
     gaussian_sample,
-    quadrature_on_nodes,
 )
 
 FIG1 = (GaussianParams(1.0, 2.0, 3.0), LctParams(1.0, 2.0, 0.5, 2.0))
@@ -130,24 +129,15 @@ class TestDirectQuadrature:
         with pytest.raises(ParameterError):
             QuadratureConfig(**{field: value})
 
-    def test_nodes_helper_matches_scalar(self):
+    def test_array_matches_scalar(self):
         g, params = FIG1
         cfg = QuadratureConfig.for_gaussian(g)
         ys = np.array([-2.0, 0.0, 3.0])
-        batch = quadrature_on_nodes(params, g.evaluate, ys, cfg)
+        batch = direct_quadrature_lct(params, g.evaluate, ys, cfg)
         singles = [direct_quadrature_lct(params, g.evaluate, float(y), cfg) for y in ys]
+        assert batch.shape == ys.shape
+        assert all(isinstance(v, complex) for v in singles)
         assert np.max(np.abs(batch - singles)) <= 1e-9
-
-    def test_thread_pool_path(self, monkeypatch):
-        g, params = FIG1
-        cfg = QuadratureConfig.for_gaussian(g)
-        ys = np.linspace(-3, 3, 8)
-        serial = quadrature_on_nodes(params, g.evaluate, ys, cfg, threads=1)
-        pooled = quadrature_on_nodes(params, g.evaluate, ys, cfg, threads=3)
-        assert np.max(np.abs(serial - pooled)) <= 1e-9
-        monkeypatch.setenv("XFT_THREADS", "2")
-        from_env = quadrature_on_nodes(params, g.evaluate, ys, cfg)
-        assert np.max(np.abs(serial - from_env)) <= 1e-9
 
 
 def _result_with(values, nodes=None):
