@@ -38,7 +38,6 @@ from .lct import (
     xft_fourier,
 )
 from .dense import (
-    DenseTransform,
     FrftOrder,
     dense_lct_matrix,
     eigenvector_matrix,
@@ -67,7 +66,7 @@ __all__ = [
     "DftPlan", "plan_dft", "apply_dft", "naive_dft", "DFT_SIGN",
     "LctParams", "Signal", "TransformResult", "fast_lct", "xft_fourier",
     "fast_frft", "lct_b_zero", "chirp_phase_step",
-    "FrftOrder", "DenseTransform", "eigenvector_matrix", "frft_matrix",
+    "FrftOrder", "eigenvector_matrix", "frft_matrix",
     "mehler_kernel", "frft_matrix_asymptotic", "dense_lct_matrix",
     "GaussianParams", "ErrorReport", "QuadratureConfig", "gaussian_sample",
     "gaussian_lct_closed_form", "direct_quadrature_lct", "compare",

@@ -1,8 +1,9 @@
 """Command-line surface: transform, compare, bench, grid.
 
 Exit codes: 0 success, 2 malformed input, 3 parameter error, 4 grid
-mismatch, 5 comparison over threshold.  All file output is CSV/TSV, UTF-8,
-LF line endings, 17 significant digits (lossless double round trip).
+mismatch, 5 comparison over threshold.  Tables are read with ``np.loadtxt``
+and written with ``np.savetxt``: CSV/TSV, UTF-8, one header line, LF line
+endings, 17 significant digits (lossless double round trip).
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -22,7 +24,15 @@ from .errors import (
     XftError,
 )
 from .hermite import asymptotic_zeros, exact_hermite_zeros
-from .lct import LctParams, Signal, TransformResult, chirp_phase_step, fast_lct, lct_b_zero
+from .lct import (
+    GRID_TOL,
+    LctParams,
+    Signal,
+    TransformResult,
+    chirp_phase_step,
+    fast_lct,
+    lct_b_zero,
+)
 from .oracle import (
     GaussianParams,
     QuadratureConfig,
@@ -38,32 +48,15 @@ EXIT_PARAMETER = 3
 EXIT_GRID = 4
 EXIT_THRESHOLD = 5
 
-_GRID_INPUT_TOL = 1e-9
-
 
 class _UsageError(Exception):
     """Malformed request (flags or file contents); maps to exit 2."""
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _open_output(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
-
-
-def _write_rows(path, header, rows):
-    stream, owned = _open_output(path)
-    try:
-        stream.write(header + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if owned:
-            stream.close()
+def _write_table(target, header, table, fmt="%.17g", delimiter=","):
+    """Header line, then one row per row of table; target is a path, "-" or a stream."""
+    np.savetxt(sys.stdout if target in (None, "-") else target, table, fmt=fmt,
+               delimiter=delimiter, header=header, comments="", encoding="utf-8")
 
 
 def _parse_params(args) -> LctParams:
@@ -109,44 +102,37 @@ def _parse_function(text: str) -> GaussianParams:
 
 def _read_signal_csv(path: str, n: int) -> Signal:
     grid = asymptotic_zeros(n)
-    xs, re, im = [], [], []
     try:
         with open(path, "r", encoding="utf-8") as stream:
             header = stream.readline().strip()
             if header.replace(" ", "") != "x,re,im":
                 raise _UsageError(f"{path}: expected header 'x,re,im', got {header!r}")
-            for line_no, line in enumerate(stream, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise _UsageError(f"{path}:{line_no}: expected 3 columns")
-                try:
-                    xs.append(float(parts[0]))
-                    re.append(float(parts[1]))
-                    im.append(float(parts[2]))
-                except ValueError as exc:
-                    raise _UsageError(f"{path}:{line_no}: {exc}") from exc
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # header only: 0 rows, no warning
+                table = np.loadtxt((line for line in stream if line.strip()), delimiter=",",
+                                   comments=None, ndmin=2)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    if len(xs) != n:
+    except ValueError as exc:  # numpy names the data row (0-based) and column
+        raise _UsageError(f"{path}: {exc}") from exc
+    if table.size and table.shape[1] != 3:
+        raise _UsageError(f"{path}: expected 3 columns, got {table.shape[1]}")
+    if table.shape[0] != n:
         _print_expected_grid(grid)
-        raise GridMismatchError(f"{path}: {len(xs)} rows, expected n={n}")
-    xs = np.asarray(xs)
-    if np.max(np.abs(xs - grid.nodes)) > _GRID_INPUT_TOL:
+        raise GridMismatchError(f"{path}: {table.shape[0]} rows, expected n={n}")
+    xs, re, im = table.T
+    if not np.max(np.abs(xs - grid.nodes)) <= GRID_TOL:  # NaN abscissae fail too
         _print_expected_grid(grid)
         raise GridMismatchError(
             f"{path}: sample abscissae deviate from the n={n} grid by more than "
-            f"{_GRID_INPUT_TOL}"
+            f"{GRID_TOL}"
         )
-    return Signal(grid=grid, values=np.asarray(re) + 1j * np.asarray(im))
+    return Signal(grid=grid, values=re + 1j * im)
 
 
 def _print_expected_grid(grid) -> None:
-    print("expected grid (k,x):", file=sys.stderr)
-    for k, x in enumerate(grid.nodes):
-        print(f"{k},{_fmt(x)}", file=sys.stderr)
+    _write_table(sys.stderr, "expected grid (k,x):",
+                 np.column_stack((np.arange(grid.n), grid.nodes)))
 
 
 def _warn_aliasing(params: LctParams, grid) -> None:
@@ -164,7 +150,7 @@ def _cmd_grid(args) -> int:
         nodes = exact_hermite_zeros(args.n)
     else:
         nodes = asymptotic_zeros(args.n).nodes
-    _write_rows(args.output, "k,x", ((k, x) for k, x in enumerate(nodes)))
+    _write_table(args.output, "k,x", np.column_stack((np.arange(nodes.size), nodes)))
     return EXIT_OK
 
 
@@ -190,15 +176,10 @@ def _cmd_transform(args) -> int:
     params = _parse_params(args)
     result, signal, _ = _build_input(args, params, args.n)
     if result is None:
-        if not args.no_unimodular_check:
-            params.require_unimodular()
-        _warn_aliasing(params, signal.grid)
         result = fast_lct(params, signal, check_unimodular=not args.no_unimodular_check)
-    _write_rows(
-        args.output,
-        "y,re,im",
-        ((y, v.real, v.imag) for y, v in zip(result.output_nodes, result.values)),
-    )
+        _warn_aliasing(params, signal.grid)
+    _write_table(args.output, "y,re,im",
+                 np.column_stack((result.output_nodes, result.values.real, result.values.imag)))
     return EXIT_OK
 
 
@@ -219,7 +200,7 @@ def _oracle_values(args, params, signal, g, result):
             raise _UsageError(f"bad quadrature setting: {exc}") from exc
         return direct_quadrature_lct(params, g.evaluate, result.output_nodes, cfg)
     if args.oracle == "dense":
-        return dense_lct_matrix(result.n, params).apply(signal.values)
+        return dense_lct_matrix(result.n, params) @ signal.values
     raise _UsageError(f"unknown oracle {args.oracle!r}")
 
 
@@ -263,13 +244,10 @@ def _cmd_compare(args) -> int:
         oracle = _oracle_values(args, params, signal, g, result)
         label = "y,abs_err"
     report = compare(result, oracle)
-    _write_rows(
-        args.output,
-        label,
-        ((y, e) for y, e in zip(result.output_nodes, np.abs(result.values - oracle))),
-    )
-    print(f"{report.n},{_fmt(report.max_abs)},{_fmt(report.rms)},"
-          f"{_fmt(report.max_rel_central)}")
+    _write_table(args.output, label,
+                 np.column_stack((result.output_nodes, np.abs(result.values - oracle))))
+    print(f"{report.n},{report.max_abs:.17g},{report.rms:.17g},"
+          f"{report.max_rel_central:.17g}")
     failed = (
         (args.max_abs is not None and report.max_abs > args.max_abs)
         or (args.rms is not None and report.rms > args.rms)
@@ -302,17 +280,11 @@ def _cmd_bench(args) -> int:
             timings.append(time.perf_counter() - t0)
         timings.sort()
         median = timings[len(timings) // 2]
-        ratio = "" if previous is None or previous[0] * 2 != n else _fmt(median / previous[1])
-        rows.append((n, median, ratio))
+        ratio = "" if previous is None or previous[0] * 2 != n else f"{median / previous[1]:.17g}"
+        rows.append((n, f"{median:.17g}", ratio))
         previous = (n, median)
-    stream, owned = _open_output(args.output)
-    try:
-        stream.write("n\tseconds\tratio_vs_half\n")
-        for n, seconds, ratio in rows:
-            stream.write(f"{n}\t{_fmt(seconds)}\t{ratio}\n")
-    finally:
-        if owned:
-            stream.close()
+    _write_table(args.output, "n\tseconds\tratio_vs_half", np.array(rows, dtype=str),
+                 fmt="%s", delimiter="\t")
     return EXIT_OK
 
 

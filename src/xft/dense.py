@@ -8,23 +8,20 @@ the symmetric Jacobi matrix of the Hermite recurrence,
 where column k of U is the unit eigenvector (numpy's ``eigh``, signed by its
 last row) whose eigenvalue is the k-th exact Hermite zero, plus the chirp-
 factored LCT matrix on the asymptotic grid, built from the fast path's own
-factor vectors.  Matrices are
-materialized only up to n = 4096 (memory guard; the dense path is a test
-oracle, not the product).
-
-Construction is pure; a built DenseTransform is immutable and may be applied
-to many vectors concurrently.
+factor vectors.  Each matrix function returns the plain n x n complex ndarray;
+apply it to a sample vector with ``@``.  Matrices are materialized only up
+to n = 4096 (memory guard; the dense path is a test oracle, not the
+product).  Construction is pure: every call returns a fresh array.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DegenerateParameterError,
     ParameterError,
-    ShapeError,
     SingularParameterError,
 )
 from .fftcore import dft_matrix
@@ -35,7 +32,6 @@ from .lct import LctParams, _fused_factors
 __all__ = [
     "MAX_DENSE_N",
     "FrftOrder",
-    "DenseTransform",
     "eigenvector_matrix",
     "frft_matrix",
     "mehler_kernel",
@@ -60,27 +56,6 @@ class FrftOrder:
         object.__setattr__(self, "z", z)
 
 
-@dataclass(frozen=True)
-class DenseTransform:
-    """A materialized n x n transform matrix with its provenance.
-
-    provenance is "frft" (exact eigendecomposition), "chirp_factored"
-    (closed-form kernel approximation), or "lct"; detail carries z or the
-    (a, b, c, d) tuple.
-    """
-
-    n: int
-    entries: np.ndarray
-    provenance: str
-    detail: object = field(default=None)
-
-    def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (self.n,):
-            raise ShapeError(f"expected a vector of length {self.n}, got {v.shape}")
-        return self.entries @ v
-
-
 def eigenvector_matrix(n: int) -> np.ndarray:
     """Orthogonal eigenvector matrix U of the symmetric Jacobi matrix.
 
@@ -96,13 +71,11 @@ def eigenvector_matrix(n: int) -> np.ndarray:
     return _jacobi_eigh(n, vectors=True)
 
 
-def frft_matrix(n: int, order: FrftOrder) -> DenseTransform:
+def frft_matrix(n: int, order: FrftOrder) -> np.ndarray:
     """Discrete fractional Fourier matrix sqrt(2*pi) U^T D(z) U."""
-    z = complex(order.z)
     u = eigenvector_matrix(n)
-    weights = z ** np.arange(n)
-    entries = np.sqrt(2.0 * np.pi) * ((u.T * weights[None, :]) @ u.astype(complex))
-    return DenseTransform(n=n, entries=entries, provenance="frft", detail=z)
+    weights = complex(order.z) ** np.arange(n)
+    return np.sqrt(2.0 * np.pi) * ((u.T * weights[None, :]) @ u.astype(complex))
 
 
 def mehler_kernel(order: FrftOrder, x, y):
@@ -122,7 +95,7 @@ def mehler_kernel(order: FrftOrder, x, y):
     return complex(out) if out.ndim == 0 else out
 
 
-def frft_matrix_asymptotic(n: int, order: FrftOrder) -> DenseTransform:
+def frft_matrix_asymptotic(n: int, order: FrftOrder) -> np.ndarray:
     """Kernel approximation K_z(x_j, x_k) * dx on the asymptotic grid.
 
     Approaches frft_matrix entrywise as n grows for fixed z strictly inside
@@ -131,13 +104,10 @@ def frft_matrix_asymptotic(n: int, order: FrftOrder) -> DenseTransform:
     _require_dense_size(n)
     grid = asymptotic_zeros(n)
     x = grid.nodes
-    entries = mehler_kernel(order, x[:, None], x[None, :]) * grid.spacing
-    return DenseTransform(
-        n=n, entries=entries, provenance="chirp_factored", detail=complex(order.z)
-    )
+    return mehler_kernel(order, x[:, None], x[None, :]) * grid.spacing
 
 
-def dense_lct_matrix(n: int, params: LctParams) -> DenseTransform:
+def dense_lct_matrix(n: int, params: LctParams) -> np.ndarray:
     """Materialized LCT matrix L = diag(post) W diag(pre) on the asymptotic grid.
 
     W is the plain DFT matrix with the calibrated sign, and pre and post are
@@ -151,7 +121,4 @@ def dense_lct_matrix(n: int, params: LctParams) -> DenseTransform:
     if params.b == 0:
         raise DegenerateParameterError("b = 0 has no kernel matrix; use lct_b_zero")
     pre, post, _ = _fused_factors(n, params.a, params.b, params.d)
-    entries = post[:, None] * dft_matrix(n, DFT_SIGN) * pre[None, :]
-    return DenseTransform(
-        n=n, entries=entries, provenance="lct", detail=params.as_tuple()
-    )
+    return post[:, None] * dft_matrix(n, DFT_SIGN) * pre[None, :]

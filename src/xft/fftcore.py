@@ -17,10 +17,9 @@ import numpy as np
 from numpy.fft import fft, ifft
 
 from .errors import InvalidSizeError, ParameterError, ShapeError
+from .hermite import _require_dense_size
 
 __all__ = ["DftPlan", "plan_dft", "apply_dft", "dft_matrix", "naive_dft"]
-
-_NAIVE_CAP = 4096
 
 
 class DftPlan:
@@ -76,14 +75,12 @@ def apply_dft(plan: DftPlan, v, out: np.ndarray | None = None) -> np.ndarray:
 def dft_matrix(n: int, direction_sign: int) -> np.ndarray:
     """Dense n x n kernel exp(direction_sign * 2j*pi*j*k/n) of the plain DFT.
 
-    Guarded at n = 4096; the matrix costs O(n^2) memory and time.
+    Shares the dense guard, n <= MAX_DENSE_N; the matrix costs O(n^2) memory
+    and time.
     """
     if direction_sign not in (1, -1):
         raise ParameterError(f"direction_sign must be +1 or -1, got {direction_sign!r}")
-    if n < 1:
-        raise InvalidSizeError("empty input")
-    if n > _NAIVE_CAP:
-        raise InvalidSizeError(f"dense DFT capped at n={_NAIVE_CAP} (got {n})")
+    _require_dense_size(n)
     j = np.arange(n, dtype=np.int64)
     return np.exp(direction_sign * 2j * np.pi * (np.outer(j, j) % n) / n)
 

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 UNIMODULAR_TOL = 1e-10
+# Largest distance a grid's nodes and spacing may sit from the asymptotic grid.
+GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,14 @@ class LctParams:
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    def is_unimodular(self, tol: float = UNIMODULAR_TOL) -> bool:
-        return abs(self.det - 1.0) <= tol
+    def is_unimodular(self) -> bool:
+        return abs(self.det - 1.0) <= UNIMODULAR_TOL
 
-    def require_unimodular(self, tol: float = UNIMODULAR_TOL) -> None:
-        if not self.is_unimodular(tol):
+    def require_unimodular(self) -> None:
+        if not self.is_unimodular():
             raise ParameterError(
                 f"parameters {self.as_tuple()} have determinant {self.det!r}, "
-                f"not 1 within {tol}"
+                f"not 1 within {UNIMODULAR_TOL}"
             )
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -195,8 +197,9 @@ def _require_asymptotic_grid(grid: HermiteGrid) -> None:
     expected = asymptotic_zeros(grid.n)
     if grid is expected:
         return
-    if (abs(grid.spacing - expected.spacing) > 1e-9
-            or np.max(np.abs(grid.nodes - expected.nodes)) > 1e-9):
+    # Written as "not within" so that a NaN node or spacing fails.
+    if not (abs(grid.spacing - expected.spacing) <= GRID_TOL
+            and np.max(np.abs(grid.nodes - expected.nodes)) <= GRID_TOL):
         raise GridMismatchError(
             f"signal grid is not the {grid.n}-point asymptotic Hermite-zero grid"
         )
@@ -269,10 +272,7 @@ def lct_b_zero(params: LctParams, sampler, n: int) -> TransformResult:
     """
     if params.b != 0:
         raise ParameterError(f"lct_b_zero requires b = 0, got b = {params.b!r}")
-    if abs(params.a * params.d - 1.0) > UNIMODULAR_TOL:
-        raise ParameterError(
-            f"b = 0 requires a*d = 1, got a*d = {params.a * params.d!r}"
-        )
+    params.require_unimodular()  # det = a*d at b = 0
     if params.d <= 0:
         raise UnsupportedBranchError(
             f"sqrt(d) branch undefined for d = {params.d!r} <= 0"

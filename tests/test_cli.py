@@ -3,13 +3,26 @@ import math
 import os
 import subprocess
 import sys
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import xft
-from xft import GaussianParams, asymptotic_zeros, gaussian_sample
+import xft.cli
+from xft import (
+    GaussianParams,
+    LctParams,
+    asymptotic_zeros,
+    compare,
+    dense_lct_matrix,
+    exact_hermite_zeros,
+    fast_lct,
+    gaussian_lct_closed_form,
+    gaussian_sample,
+)
 from xft.calibration import FIGURE1_MAX_ABS
 from xft.cli import main
 
@@ -18,6 +31,19 @@ def read_csv(path, header):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == header
     return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def csv_text(header, *columns):
+    """The CLI's table bytes, built by hand: header, then 17-digit rows."""
+    rows = (",".join(format(float(v), ".17g") for v in row) for row in zip(*columns))
+    return "".join(line + "\n" for line in (header, *rows))
+
+
+def grid_csv(path, n, header="x,re,im", sep="\n"):
+    nodes = asymptotic_zeros(n).nodes
+    path.write_text(header + sep + "".join(f"{x!r},{math.exp(-x * x)!r},0{sep}"
+                                           for x in nodes.tolist()), encoding="utf-8")
+    return path
 
 
 class TestGrid:
@@ -37,6 +63,12 @@ class TestGrid:
     def test_exact_grid_beyond_dense_guard_exits_2(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert main(["grid", "--n", "4097", "--exact", "--output", str(out)]) == 2
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_bytes(self, exact, capsys):
+        nodes = exact_hermite_zeros(9) if exact else asymptotic_zeros(9).nodes
+        assert main(["grid", "--n", "9", *(["--exact"] if exact else [])]) == 0
+        assert capsys.readouterr().out == csv_text("k,x", range(9), nodes)
 
 
 class TestTransform:
@@ -81,6 +113,31 @@ class TestTransform:
                    "--output", str(out)])
         assert rc == 0
 
+    def test_bytes(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["transform", "--n", "64", "--params", "1,2,0.5,2", "--function", "gaussian:1,2,3"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert main(argv) == 0
+        res = fast_lct(LctParams(1, 2, 0.5, 2),
+                       gaussian_sample(GaussianParams(1, 2, 3), asymptotic_zeros(64)))
+        expected = csv_text("y,re,im", res.output_nodes, res.values.real, res.values.imag)
+        assert out.read_bytes() == expected.encode("utf-8")
+        assert capsys.readouterr().out == expected
+
+    def test_no_unimodular_check_does_not_reach_b_zero(self):
+        assert main(["transform", "--n", "4", "--params", "1,0,0,1.0000005",
+                     "--no-unimodular-check", "--function", "gaussian:1,0,0"]) == 3
+
+    def test_aliasing_warning(self, capsys):
+        assert main(["transform", "--n", "256", "--params", "40,0.1,0,0.025",
+                     "--function", "gaussian:1,0,0"]) == 0
+        assert "undersampled" in capsys.readouterr().err
+        # a parameter error wins: no warning for parameters that are refused
+        assert main(["transform", "--n", "256", "--params", "40,0.1,-5,0.04",
+                     "--function", "gaussian:1,0,0"]) == 3
+        err = capsys.readouterr().err
+        assert "undersampled" not in err and err.startswith("error:")
+
     def test_b_zero_with_csv_input_exits_3(self, tmp_path):
         src = tmp_path / "in.csv"
         main(["transform", "--n", "4", "--params", "1,0,0,1",
@@ -95,6 +152,53 @@ class TestTransform:
         bad.write_text("x,re,im\n1,2\n", encoding="utf-8")
         assert main(["transform", "--n", "1", "--preset", "fourier",
                      "--input", str(bad)]) == 2
+
+    def test_csv_header_spaces_and_blank_lines_accepted(self, tmp_path, capsys):
+        plain = grid_csv(tmp_path / "plain.csv", 8)
+        loose = grid_csv(tmp_path / "loose.csv", 8, header=" x , re , im ", sep="\n \n\n")
+        assert main(["transform", "--n", "8", "--preset", "fourier", "--input", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["transform", "--n", "8", "--preset", "fourier", "--input", str(loose)]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("body", ["# a comment line\n", "{x!r},abc,0\n", "{x!r},1\n"],
+                             ids=["comment", "non-numeric", "two-columns"])
+    def test_malformed_csv_rows_exit_2(self, tmp_path, body, capsys):
+        src = grid_csv(tmp_path / "in.csv", 4)
+        x = asymptotic_zeros(4).nodes[0].item()
+        lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+        src.write_text(lines[0] + body.format(x=x) + "".join(lines[2:]), encoding="utf-8")
+        assert main(["transform", "--n", "4", "--preset", "fourier", "--input", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}:") and err.count("\n") == 1
+
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "latin1.csv"
+        src.write_bytes(b"x,re,im\n\xff,1,0\n")
+        assert main(["transform", "--n", "1", "--preset", "fourier", "--input", str(src)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {src}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_only_csv_exits_4_with_only_the_grid(self, tmp_path, body, capsys):
+        src = tmp_path / "empty.csv"
+        src.write_text("x,re,im\n" + body, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a shown warning would reach stderr
+            assert main(["transform", "--n", "4", "--preset", "fourier",
+                         "--input", str(src)]) == 4
+        assert caught == []
+        grid = asymptotic_zeros(4).nodes
+        assert capsys.readouterr().err == (csv_text("expected grid (k,x):", range(4), grid)
+                                           + f"error: {src}: 0 rows, expected n=4\n")
+
+    def test_nan_abscissae_exit_4_and_print_grid(self, tmp_path, capsys):
+        src = tmp_path / "nan.csv"
+        src.write_text("x,re,im\n" + "nan,1,0\n" * 4, encoding="utf-8")
+        assert main(["transform", "--n", "4", "--preset", "fourier", "--input", str(src)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(csv_text("expected grid (k,x):", range(4),
+                                                asymptotic_zeros(4).nodes))
 
     def test_grid_mismatch_exits_4_and_prints_grid(self, tmp_path, capsys):
         bad = tmp_path / "off.csv"
@@ -184,6 +288,24 @@ class TestCompare:
         assert float(summary.split(",")[1]) <= 1e-12
         assert main(common + ["--inverse"]) == 0
 
+    @pytest.mark.parametrize("oracle", ["closed-form", "dense"])
+    def test_bytes(self, oracle, capsys):
+        params, g = LctParams(1, 2, 0.5, 2), GaussianParams(1, 2, 3)
+        assert main(["compare", "--n", "64", "--params", "1,2,0.5,2",
+                     "--function", "gaussian:1,2,3", "--oracle", oracle]) == 0
+        signal = gaussian_sample(g, asymptotic_zeros(64))
+        res = fast_lct(params, signal)
+        if oracle == "dense":
+            ref = dense_lct_matrix(64, params) @ signal.values
+        else:
+            ref = gaussian_lct_closed_form(g, params, res.output_nodes)
+        report = compare(res, ref)
+        summary = ",".join([str(report.n)] + [format(v, ".17g") for v in
+                                              (report.max_abs, report.rms,
+                                               report.max_rel_central)])
+        assert capsys.readouterr().out == (
+            csv_text("y,abs_err", res.output_nodes, np.abs(res.values - ref)) + summary + "\n")
+
     def test_threshold_violation_exits_5(self, tmp_path):
         rc = main(["compare", "--n", "64", "--params", "1,2,0.5,2",
                    "--function", "gaussian:1,2,3", "--oracle", "closed-form",
@@ -252,6 +374,19 @@ class TestBench:
         out = tmp_path / "bench.tsv"
         assert main(["bench", "--sizes", "196608", "--repeats", "1",
                      "--output", str(out)]) == 0
+
+    def test_bytes(self, monkeypatch, capsys):
+        # A fake clock makes the timings, and so the whole table, deterministic.
+        ticks = iter([0.1, 0.3, 0.7, 1.1, 1.3, 1.9])
+        clock = types.SimpleNamespace(perf_counter=lambda: next(ticks))
+        monkeypatch.setattr(xft.cli, "time", clock)
+        assert main(["bench", "--sizes", "16,32,48", "--repeats", "1"]) == 0
+        t16, t32, t48 = 0.3 - 0.1, 1.1 - 0.7, 1.9 - 1.3
+        assert capsys.readouterr().out == (
+            "n\tseconds\tratio_vs_half\n"
+            f"16\t{format(t16, '.17g')}\t\n"
+            f"32\t{format(t32, '.17g')}\t{format(t32 / t16, '.17g')}\n"
+            f"48\t{format(t48, '.17g')}\t\n")
 
     @pytest.mark.parametrize("repeats", ["0", "-3"])
     def test_repeats_below_one_exits_2(self, repeats, capsys):

@@ -12,6 +12,8 @@ from xft import (
     naive_dft,
     plan_dft,
 )
+from xft.dense import MAX_DENSE_N
+from xft.fftcore import dft_matrix
 
 
 def rel_err(got, ref):
@@ -77,6 +79,8 @@ class TestAgainstNaive:
     def test_naive_guard(self):
         with pytest.raises(InvalidSizeError):
             naive_dft(np.zeros(5000), 1)
+        with pytest.raises(InvalidSizeError, match=f"n <= {MAX_DENSE_N} "):
+            dft_matrix(MAX_DENSE_N + 1, 1)
 
 
 class TestInvariants:

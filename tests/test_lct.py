@@ -71,6 +71,8 @@ class TestLctParams:
         with pytest.raises(ParameterError):
             LctParams(1, 1, 1, 1).require_unimodular()
         LctParams(1, 1, 1, 2 + 5e-11).require_unimodular()
+        assert LctParams(1, 1, 1, 2 + 5e-11).is_unimodular()
+        assert not LctParams(1, 1, 1, 2 + 2e-10).is_unimodular()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", range(4))
@@ -174,6 +176,16 @@ class TestFastLct:
         with pytest.raises(GridMismatchError):
             fast_lct(LctParams.fourier(), Signal(off, values))
 
+    def test_nan_grid_is_a_mismatch(self):
+        ref = asymptotic_zeros(8)
+        values = np.ones(8, dtype=complex)
+        nodes = ref.nodes.copy()
+        nodes[3] = np.nan
+        for grid in (HermiteGrid(n=8, nodes=nodes, spacing=ref.spacing),
+                     HermiteGrid(n=8, nodes=ref.nodes.copy(), spacing=math.nan)):
+            with pytest.raises(GridMismatchError):
+                fast_lct(LctParams.fourier(), Signal(grid, values))
+
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_matches_dense_path(self, n):
         rng = np.random.default_rng(100 + n)
@@ -181,7 +193,7 @@ class TestFastLct:
         for _ in range(5):
             params = random_unimodular(rng)
             fast = fast_lct(params, sig).values
-            ref = dense_lct_matrix(n, params).apply(sig.values)
+            ref = dense_lct_matrix(n, params) @ sig.values
             assert np.linalg.norm(fast - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_linearity(self):
@@ -349,7 +361,7 @@ class TestFrozenKernelSign:
         grid = asymptotic_zeros(n)
         sig = gaussian_sample(g, grid)
         y = (4 * params.b / np.pi) * grid.nodes
-        fourier = np.sqrt(2j * np.pi) * dense_lct_matrix(n, LctParams.fourier()).entries
+        fourier = np.sqrt(2j * np.pi) * dense_lct_matrix(n, LctParams.fourier())
         flipped = np.conj(fourier)  # the +1 sign kernel
         from xft.kernel import input_chirp, output_chirp
         wrong = (output_chirp(params.d, params.b, y)[:, None]
@@ -465,6 +477,12 @@ class TestBZeroBranch:
         with pytest.raises(ParameterError):
             lct_b_zero(LctParams.fourier(), lambda x: x, 8)
 
+    def test_rejects_non_unimodular(self):
+        # det = a*d at b = 0; the same check and tolerance as every other branch
+        with pytest.raises(ParameterError, match="determinant"):
+            lct_b_zero(LctParams(1.0, 0.0, 0.0, 1.0000005), lambda x: x, 8)
+        lct_b_zero(LctParams(0.5, 0.0, 7.0, 2.0 + 5e-11), lambda x: x, 8)
+
 
 class TestAliasingDiagnostic:
     def test_scales_with_chirp_rate(self):
@@ -496,3 +514,6 @@ def test_public_names_resolve_and_removed_paths_stay_gone():
     assert "threads" not in inspect.signature(direct_quadrature_lct).parameters
     assert not hasattr(Signal, "sample")
     assert "unimodular_tol" not in inspect.signature(fast_lct).parameters
+    assert not hasattr(xft, "DenseTransform") and not hasattr(xft.dense, "DenseTransform")
+    for method in (LctParams.is_unimodular, LctParams.require_unimodular):
+        assert list(inspect.signature(method).parameters) == ["self"]
