@@ -20,7 +20,6 @@ from .errors import (
     ConvergenceError,
     GridMismatchError,
     ParameterError,
-    ShapeError,
     XftError,
 )
 from .hermite import asymptotic_zeros, exact_hermite_zeros
@@ -28,9 +27,9 @@ from .lct import (
     GRID_TOL,
     LctParams,
     Signal,
-    TransformResult,
     chirp_phase_step,
     fast_lct,
+    inverse_lct,
     lct_b_zero,
 )
 from .oracle import (
@@ -204,29 +203,6 @@ def _oracle_values(args, params, signal, g, result):
     raise _UsageError(f"unknown oracle {args.oracle!r}")
 
 
-def _inverse_roundtrip(params: LctParams, signal: Signal,
-                       check_unimodular: bool) -> TransformResult:
-    """Forward transform, then the scale-adjusted inverse; recovers samples.
-
-    The forward output lives on y = sigma*x with sigma = 4b/pi, so the
-    inverse run uses (d*sigma, -b/sigma, -c*sigma, a/sigma) applied to the
-    forward values read as samples on the standard grid, scaled by
-    sqrt(sigma), output index-reversed.  For b = pi/4 this is exactly the
-    plain inverse quadruple (d, -b, -c, a).
-    """
-    if params.b <= 0:
-        raise ParameterError("--inverse requires b > 0")
-    sigma = 4.0 * params.b / math.pi
-    forward = fast_lct(params, signal, check_unimodular=check_unimodular)
-    second = LctParams(params.d * sigma, -params.b / sigma,
-                       -params.c * sigma, params.a / sigma)
-    back = fast_lct(second, Signal(signal.grid, forward.values),
-                    check_unimodular=check_unimodular)
-    recovered = math.sqrt(sigma) * back.values[::-1]
-    return TransformResult(params=params, output_nodes=signal.grid.nodes,
-                           values=recovered, n=signal.grid.n)
-
-
 def _cmd_compare(args) -> int:
     params = _parse_params(args)
     check_unimodular = not args.no_unimodular_check
@@ -236,7 +212,7 @@ def _cmd_compare(args) -> int:
     if result0 is not None:
         raise ParameterError("compare requires b != 0")
     if args.inverse:
-        result = _inverse_roundtrip(params, signal, check_unimodular)
+        result = inverse_lct(fast_lct(params, signal, check_unimodular=check_unimodular))
         oracle = signal.values
         label = "x,abs_err"
     else:
@@ -350,17 +326,12 @@ def main(argv=None) -> int:
         return EXIT_MALFORMED if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, XftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except GridMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRID
-    except (ParameterError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except (ShapeError, XftError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, GridMismatchError):
+            return EXIT_GRID
+        if isinstance(exc, (ParameterError, ConvergenceError)):
+            return EXIT_PARAMETER
         return EXIT_MALFORMED
 
 

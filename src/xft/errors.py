@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "XftError", "InvalidSizeError", "ParameterError", "SingularParameterError",
+    "DegenerateParameterError", "UnsupportedBranchError", "ShapeError",
+    "GridMismatchError", "ConvergenceError", "TruncationWarning",
+]
+
 
 class XftError(Exception):
     """Base class for all package-specific errors."""

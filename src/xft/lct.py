@@ -8,8 +8,9 @@ the transform of f is
 and for b = 0 it degenerates to sqrt(d) * exp(i c d y^2 / 2) * f(d y).
 Sampling f at the asymptotic Hermite zeros x_k turns the b != 0 case into a
 pointwise chirp, one plain DFT, and a pointwise scale, evaluated at the
-output nodes y_j = 4 b x_j / pi.  Fourier, fractional Fourier and Fresnel
-transforms are parameter special cases.
+output nodes y_j = 4 b x_j / pi, and inverse_lct maps them back to the
+input grid.  Fourier, fractional Fourier and Fresnel transforms are
+parameter special cases.
 
 All operations are pure; results are frozen records whose values are fresh
 arrays; independent transforms may run fully in parallel (the factor cache
@@ -41,6 +42,7 @@ __all__ = [
     "fast_lct",
     "xft_fourier",
     "fast_frft",
+    "inverse_lct",
     "lct_b_zero",
     "chirp_phase_step",
 ]
@@ -255,12 +257,31 @@ def xft_fourier(signal: Signal) -> TransformResult:
 
 def fast_frft(angle: float, signal: Signal) -> TransformResult:
     """Fractional Fourier transform: fast_lct at (cos t, sin t, -sin t, cos t)."""
-    params = LctParams.frft(angle)
-    if params.b == 0:
+    return fast_lct(LctParams.frft(angle), signal)
+
+
+def inverse_lct(result: TransformResult) -> TransformResult:
+    """The samples that result = fast_lct(params, f) came from, on the input grid.
+
+    The forward output sits on y = s*x with s = 4b/pi.  With r = |s|, the
+    values read in increasing y are transformed at (d*r, -b/r, -c*r, a/r),
+    scaled by sqrt(r) and read in increasing x.  That second stage skips
+    the unimodular check: fast_lct reads only a, b and d, so it exactly
+    inverts whatever the forward transform computed.
+    """
+    a, b, c, d = result.params.as_tuple()
+    if b == 0:
         raise DegenerateParameterError(
-            f"sin({angle}) = 0 is the identity/parity case; use lct_b_zero"
+            "b = 0: the inverse resamples off-grid; use lct_b_zero with a callable"
         )
-    return fast_lct(params, signal)
+    r = abs(4.0 * b / math.pi)
+    grid = asymptotic_zeros(result.n)
+    forward = result.values if b > 0 else result.values[::-1]
+    back = fast_lct(LctParams(d * r, -b / r, -c * r, a / r), Signal(grid, forward),
+                    check_unimodular=False)
+    values = math.sqrt(r) * (back.values[::-1] if b > 0 else back.values)
+    return TransformResult(params=result.params.inverse(), output_nodes=grid.nodes,
+                           values=values, n=result.n)
 
 
 def lct_b_zero(params: LctParams, sampler, n: int) -> TransformResult:
@@ -281,11 +302,7 @@ def lct_b_zero(params: LctParams, sampler, n: int) -> TransformResult:
         raise ParameterError("sampler must be a vectorized callable real -> complex")
     grid = asymptotic_zeros(n)
     y = grid.nodes
-    samples = np.asarray(sampler(params.d * y), dtype=complex)
-    if samples.shape != y.shape:
-        raise ShapeError(
-            f"sampler returned shape {samples.shape} for {y.shape} evaluation points"
-        )
+    samples = Signal(grid, sampler(params.d * y)).values  # checks shape and finiteness
     values = math.sqrt(params.d) * np.exp(0.5j * params.c * params.d * np.square(y)) * samples
     return TransformResult(params=params, output_nodes=y.copy(), values=values, n=n)
 

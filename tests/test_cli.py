@@ -138,6 +138,13 @@ class TestTransform:
         err = capsys.readouterr().err
         assert "undersampled" not in err and err.startswith("error:")
 
+    def test_b_zero_non_finite_samples_exit_3(self, capsys):
+        with np.errstate(over="ignore"):
+            assert main(["transform", "--n", "8", "--params", "1,0,0,1",
+                         "--function", "gaussian:1,400,0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
     def test_b_zero_with_csv_input_exits_3(self, tmp_path):
         src = tmp_path / "in.csv"
         main(["transform", "--n", "4", "--params", "1,0,0,1",
@@ -333,11 +340,13 @@ class TestCompare:
                    "--max-abs", "1e-10", "--output", str(tmp_path / "inv.csv")])
         assert rc == 0
 
-    def test_inverse_requires_positive_b(self, tmp_path):
+    def test_inverse_round_trip_negative_b(self, tmp_path, capsys):
         rc = main(["compare", "--n", "32", "--params", "1,-2,0.5,-2.25",
                    "--no-unimodular-check", "--function", "gaussian:1,0,0",
                    "--inverse", "--output", str(tmp_path / "inv.csv")])
-        assert rc == 3
+        assert rc == 0
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert float(summary.split(",")[1]) <= 1e-10
 
     def test_csv_input_needs_compatible_oracle(self, tmp_path):
         src = tmp_path / "in.csv"

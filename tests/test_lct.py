@@ -29,6 +29,7 @@ from xft import (
     fast_lct,
     gaussian_lct_closed_form,
     gaussian_sample,
+    inverse_lct,
     lct_b_zero,
     xft_fourier,
 )
@@ -450,6 +451,49 @@ class TestFastFrft:
             fast_frft(0.0, sig)
 
 
+INVERSE_QUADRUPLES = [
+    LctParams(1.0, 2.0, 0.5, 2.0),
+    LctParams(0.5, 1.0, -0.75, 0.5),
+    LctParams.fourier(),
+    LctParams.frft(-0.7),
+    LctParams(2.0, -0.5, 1.5, 0.125),
+]
+
+
+class TestInverse:
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 255, 256, 512])
+    @pytest.mark.parametrize("params", INVERSE_QUADRUPLES, ids=lambda p: str(p.as_tuple()))
+    def test_round_trip(self, params, n):
+        gauss = gaussian_sample(GaussianParams(1.0, 0.3, 0.1), asymptotic_zeros(n))
+        back = inverse_lct(fast_lct(params, gauss))
+        assert np.max(np.abs(back.values - gauss.values)) <= 1e-12
+        sig = random_signal(np.random.default_rng(n), n)
+        back = inverse_lct(fast_lct(params, sig))
+        assert (np.linalg.norm(back.values - sig.values)
+                <= 1e-12 * np.linalg.norm(sig.values))
+
+    def test_result_sits_on_the_input_grid(self):
+        params = LctParams(2.0, -0.5, 1.5, 0.125)
+        sig = random_signal(np.random.default_rng(3), 64)
+        back = inverse_lct(fast_lct(params, sig))
+        assert back.output_nodes is asymptotic_zeros(64).nodes
+        assert back.params == params.inverse() and back.n == 64
+
+    def test_non_unimodular_forward_round_trips(self):
+        # det = 1 + 5e-7: the forward check is off, and the second stage
+        # inverts whatever the forward transform computed.
+        params = LctParams(1.0, 1.0, 1.0, 1.0000005)
+        sig = random_signal(np.random.default_rng(5), 128)
+        back = inverse_lct(fast_lct(params, sig, check_unimodular=False))
+        assert (np.linalg.norm(back.values - sig.values)
+                <= 1e-12 * np.linalg.norm(sig.values))
+
+    def test_rejects_b_zero_result(self):
+        res = lct_b_zero(LctParams(1.0, 0.0, 0.0, 1.0), np.exp, 8)
+        with pytest.raises(DegenerateParameterError):
+            inverse_lct(res)
+
+
 class TestBZeroBranch:
     def test_identity(self):
         g = GaussianParams(1.0, 0.0, 0.0)
@@ -482,6 +526,16 @@ class TestBZeroBranch:
         with pytest.raises(ParameterError, match="determinant"):
             lct_b_zero(LctParams(1.0, 0.0, 0.0, 1.0000005), lambda x: x, 8)
         lct_b_zero(LctParams(0.5, 0.0, 7.0, 2.0 + 5e-11), lambda x: x, 8)
+
+    def test_rejects_non_finite_samples(self):
+        # exp(-(x^2 + 800 x)) overflows at the negative nodes
+        g = GaussianParams(1.0, 400.0, 0.0)
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="finite"):
+            lct_b_zero(LctParams(1.0, 0.0, 0.0, 1.0), g.evaluate, 8)
+
+    def test_rejects_wrong_sample_shape(self):
+        with pytest.raises(ShapeError):
+            lct_b_zero(LctParams(1.0, 0.0, 0.0, 1.0), lambda x: x[:-1], 8)
 
 
 class TestAliasingDiagnostic:
@@ -517,3 +571,7 @@ def test_public_names_resolve_and_removed_paths_stay_gone():
     assert not hasattr(xft, "DenseTransform") and not hasattr(xft.dense, "DenseTransform")
     for method in (LctParams.is_unimodular, LctParams.require_unimodular):
         assert list(inspect.signature(method).parameters) == ["self"]
+    modules = (xft.errors, xft.hermite, xft.fftcore, xft.kernel, xft.lct, xft.dense, xft.oracle)
+    assert sorted(xft.__all__) == sorted({"__version__"}.union(*(m.__all__ for m in modules)))
+    assert xft.inverse_lct is xft.lct.inverse_lct
+    assert not hasattr(importlib.import_module("xft.cli"), "_inverse_roundtrip")
