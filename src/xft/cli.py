@@ -22,9 +22,8 @@ from .errors import (
     ParameterError,
     XftError,
 )
-from .hermite import asymptotic_zeros, exact_hermite_zeros
+from .hermite import HermiteGrid, asymptotic_zeros, exact_hermite_zeros
 from .lct import (
-    GRID_TOL,
     LctParams,
     Signal,
     chirp_phase_step,
@@ -58,18 +57,21 @@ def _write_table(target, header, table, fmt="%.17g", delimiter=","):
                delimiter=delimiter, header=header, comments="", encoding="utf-8")
 
 
+def _floats(text: str, count: int, what: str) -> list[float]:
+    """count comma-separated numbers from text; anything else is malformed input."""
+    parts = text.split(",")
+    try:
+        if len(parts) == count:
+            return [float(p) for p in parts]
+    except ValueError:
+        pass
+    raise _UsageError(f"bad {what} {text!r}: expected {count} comma-separated number(s)")
+
+
 def _parse_params(args) -> LctParams:
-    if (args.params is None) == (args.preset is None):
-        raise _UsageError("give exactly one of --params a,b,c,d or --preset")
+    # LctParams is built outside _floats: a non-finite value is a ParameterError (exit 3).
     if args.params is not None:
-        parts = args.params.split(",")
-        if len(parts) != 4:
-            raise _UsageError(f"--params needs 4 comma-separated values, got {args.params!r}")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise _UsageError(f"bad --params value: {exc}") from exc
-        return LctParams(*values)
+        return LctParams(*_floats(args.params, 4, "--params"))
     name, _, arg = args.preset.partition(":")
     if name == "fourier":
         if arg:
@@ -77,11 +79,7 @@ def _parse_params(args) -> LctParams:
         return LctParams.fourier()
     if name not in ("fresnel", "frft"):
         raise _UsageError(f"unknown preset {name!r} (use fourier | fresnel:b | frft:theta)")
-    try:
-        value = float(arg)
-    except ValueError as exc:
-        raise _UsageError(f"bad preset argument {arg!r}: {exc}") from exc
-    # Constructed outside the try: a non-finite value is a ParameterError (exit 3).
+    (value,) = _floats(arg, 1, "preset argument")
     return LctParams.fresnel(value) if name == "fresnel" else LctParams.frft(value)
 
 
@@ -89,18 +87,12 @@ def _parse_function(text: str) -> GaussianParams:
     name, _, arg = text.partition(":")
     if name != "gaussian":
         raise _UsageError(f"unknown builtin function {name!r} (only gaussian:a,b,c)")
-    parts = arg.split(",")
-    if len(parts) != 3:
-        raise _UsageError("gaussian takes three values: alpha,beta,gamma")
-    try:
-        alpha, beta, gamma = (float(p) for p in parts)
-    except ValueError as exc:
-        raise _UsageError(f"bad gaussian coefficient: {exc}") from exc
-    return GaussianParams(alpha, beta, gamma)
+    return GaussianParams(*_floats(arg, 3, "gaussian alpha,beta,gamma"))
 
 
 def _read_signal_csv(path: str, n: int) -> Signal:
-    grid = asymptotic_zeros(n)
+    """The CSV samples on their own abscissae; fast_lct judges those against the grid."""
+    spacing = asymptotic_zeros(n).spacing
     try:
         with open(path, "r", encoding="utf-8") as stream:
             header = stream.readline().strip()
@@ -117,25 +109,13 @@ def _read_signal_csv(path: str, n: int) -> Signal:
     if table.size and table.shape[1] != 3:
         raise _UsageError(f"{path}: expected 3 columns, got {table.shape[1]}")
     if table.shape[0] != n:
-        _print_expected_grid(grid)
         raise GridMismatchError(f"{path}: {table.shape[0]} rows, expected n={n}")
     xs, re, im = table.T
-    if not np.max(np.abs(xs - grid.nodes)) <= GRID_TOL:  # NaN abscissae fail too
-        _print_expected_grid(grid)
-        raise GridMismatchError(
-            f"{path}: sample abscissae deviate from the n={n} grid by more than "
-            f"{GRID_TOL}"
-        )
-    return Signal(grid=grid, values=re + 1j * im)
+    return Signal(HermiteGrid(n, xs, spacing), re + 1j * im)
 
 
-def _print_expected_grid(grid) -> None:
-    _write_table(sys.stderr, "expected grid (k,x):",
-                 np.column_stack((np.arange(grid.n), grid.nodes)))
-
-
-def _warn_aliasing(params: LctParams, grid) -> None:
-    step = chirp_phase_step(params, grid)
+def _warn_aliasing(params: LctParams, n: int) -> None:
+    step = chirp_phase_step(params, asymptotic_zeros(n))
     if step > math.pi:
         print(
             f"warning: pre-chirp phase advances {step:.3g} rad per grid step "
@@ -153,72 +133,68 @@ def _cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _build_input(args, params: LctParams, n: int):
-    """Returns (result-or-None, signal-or-None, gaussian-or-None)."""
-    if (args.function is None) == (args.input is None):
-        raise _UsageError("give exactly one of --function or --input")
-    if args.function is not None:
-        g = _parse_function(args.function)
+def _forward(args):
+    """Parse, sample or read, and transform: returns (result, signal, gaussian).
+
+    signal is None on the b = 0 branch, which resamples the builtin off-grid;
+    gaussian is None for CSV input.
+    """
+    params = _parse_params(args)
+    if args.input is not None:
+        signal, g = _read_signal_csv(args.input, args.n), None
         if params.b == 0:
-            result = lct_b_zero(params, g.evaluate, n)
-            return result, None, g
-        return None, gaussian_sample(g, asymptotic_zeros(n)), g
-    if params.b == 0:
-        raise ParameterError(
-            "b = 0 resamples off-grid; CSV sample input cannot be used "
-            "(provide --function instead)"
-        )
-    return None, _read_signal_csv(args.input, n), None
+            raise ParameterError(
+                "b = 0 resamples off-grid; CSV sample input cannot be used "
+                "(provide --function instead)"
+            )
+    else:
+        g = _parse_function(args.function)
+        sample = np.errstate(over="ignore")(g.evaluate)  # Signal reports non-finite samples
+        if params.b == 0:
+            return lct_b_zero(params, sample, args.n), None, g
+        grid = asymptotic_zeros(args.n)
+        signal = Signal(grid, sample(grid.nodes))
+    return fast_lct(params, signal, check_unimodular=not args.no_unimodular_check), signal, g
 
 
 def _cmd_transform(args) -> int:
-    params = _parse_params(args)
-    result, signal, _ = _build_input(args, params, args.n)
-    if result is None:
-        result = fast_lct(params, signal, check_unimodular=not args.no_unimodular_check)
-        _warn_aliasing(params, signal.grid)
+    result, signal, _ = _forward(args)
+    if signal is not None:
+        _warn_aliasing(result.params, args.n)
     _write_table(args.output, "y,re,im",
                  np.column_stack((result.output_nodes, result.values.real, result.values.imag)))
     return EXIT_OK
 
 
-def _oracle_values(args, params, signal, g, result):
+def _oracle_values(args, signal, g, result):
+    params = result.params
+    if args.oracle == "dense":
+        return dense_lct_matrix(result.n, params) @ signal.values
     if args.oracle == "closed-form":
         if g is None:
             raise ParameterError("closed-form oracle needs a gaussian builtin input")
         return gaussian_lct_closed_form(g, params, result.output_nodes)
-    if args.oracle == "quadrature":
-        if g is None:
-            raise ParameterError("quadrature oracle needs a callable builtin input")
-        try:
-            if args.oracle_radius is None:
-                cfg = QuadratureConfig.for_gaussian(g, tol=args.oracle_tol)
-            else:
-                cfg = QuadratureConfig(radius=args.oracle_radius, tol=args.oracle_tol)
-        except ParameterError as exc:
-            raise _UsageError(f"bad quadrature setting: {exc}") from exc
-        return direct_quadrature_lct(params, g.evaluate, result.output_nodes, cfg)
-    if args.oracle == "dense":
-        return dense_lct_matrix(result.n, params) @ signal.values
-    raise _UsageError(f"unknown oracle {args.oracle!r}")
+    # quadrature: argparse's choices= admit no other oracle
+    if g is None:
+        raise ParameterError("quadrature oracle needs a callable builtin input")
+    try:
+        if args.oracle_radius is None:
+            cfg = QuadratureConfig.for_gaussian(g, tol=args.oracle_tol)
+        else:
+            cfg = QuadratureConfig(radius=args.oracle_radius, tol=args.oracle_tol)
+    except ParameterError as exc:
+        raise _UsageError(f"bad quadrature setting: {exc}") from exc
+    return direct_quadrature_lct(params, g.evaluate, result.output_nodes, cfg)
 
 
 def _cmd_compare(args) -> int:
-    params = _parse_params(args)
-    check_unimodular = not args.no_unimodular_check
-    if check_unimodular:
-        params.require_unimodular()
-    result0, signal, g = _build_input(args, params, args.n)
-    if result0 is not None:
+    result, signal, g = _forward(args)
+    if signal is None:
         raise ParameterError("compare requires b != 0")
     if args.inverse:
-        result = inverse_lct(fast_lct(params, signal, check_unimodular=check_unimodular))
-        oracle = signal.values
-        label = "x,abs_err"
+        result, oracle, label = inverse_lct(result), signal.values, "x,abs_err"
     else:
-        result = fast_lct(params, signal, check_unimodular=check_unimodular)
-        oracle = _oracle_values(args, params, signal, g, result)
-        label = "y,abs_err"
+        oracle, label = _oracle_values(args, signal, g, result), "y,abs_err"
     report = compare(result, oracle)
     _write_table(args.output, label,
                  np.column_stack((result.output_nodes, np.abs(result.values - oracle))))
@@ -242,7 +218,7 @@ def _cmd_bench(args) -> int:
         raise _UsageError("--sizes is empty")
     if args.repeats < 1:
         raise _UsageError(f"--repeats must be at least 1, got {args.repeats}")
-    params = _parse_params(args) if (args.params or args.preset) else LctParams.fourier()
+    params = _parse_params(args)
     rows = []
     previous = None
     for n in sizes:
@@ -271,12 +247,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def add_params(p, required):
+        group = p.add_mutually_exclusive_group(required=required)
+        group.add_argument("--params", help="a,b,c,d (determinant 1)")
+        group.add_argument("--preset", help="fourier | fresnel:b | frft:theta")
+
     def add_common(p):
         p.add_argument("--n", type=int, required=True, help="number of grid samples")
-        p.add_argument("--params", help="a,b,c,d (determinant 1)")
-        p.add_argument("--preset", help="fourier | fresnel:b | frft:theta")
-        p.add_argument("--function", help="builtin input, e.g. gaussian:1,2,3")
-        p.add_argument("--input", help="CSV sample file with header x,re,im")
+        add_params(p, required=True)
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--function", help="builtin input, e.g. gaussian:1,2,3")
+        source.add_argument("--input", help="CSV sample file with header x,re,im")
         p.add_argument("--output", default="-", help="output path (default stdout)")
         p.add_argument("--no-unimodular-check", action="store_true",
                        help="skip the |ad-bc-1| <= 1e-10 check")
@@ -311,10 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="time the fast path over a size sweep")
     b.add_argument("--sizes", required=True, help="comma-separated transform sizes")
     b.add_argument("--repeats", type=int, default=5, help="timings per size (median)")
-    b.add_argument("--params", help="a,b,c,d")
-    b.add_argument("--preset", help="fourier | fresnel:b | frft:theta")
+    add_params(b, required=False)
     b.add_argument("--output", default="-")
-    b.set_defaults(func=_cmd_bench)
+    b.set_defaults(func=_cmd_bench, preset="fourier")
     return parser
 
 
@@ -327,6 +307,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (_UsageError, XftError, OSError) as exc:
+        if isinstance(exc, GridMismatchError):  # CSV rows must sit on the n-point grid
+            _write_table(sys.stderr, "expected grid (k,x):",
+                         np.column_stack((np.arange(args.n), asymptotic_zeros(args.n).nodes)))
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, GridMismatchError):
             return EXIT_GRID

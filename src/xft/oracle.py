@@ -77,14 +77,18 @@ class ErrorReport:
     n: int
 
 
+# Trapezoid points of the first pass (odd, so each halving keeps the old nodes)
+# and the cap past which the refinement raises ConvergenceError.
+_INITIAL_POINTS = 2049
+_MAX_POINTS = 2 ** 22
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Truncation and refinement controls for the brute-force quadrature."""
 
     radius: float = 12.0
     tol: float = 1e-10
-    initial_points: int = 2049
-    max_points: int = 2 ** 22
 
     def __post_init__(self):
         for name in ("radius", "tol"):
@@ -136,7 +140,7 @@ def direct_quadrature_lct(params: LctParams, f, y,
 
     Composite trapezoid over [-radius, radius], step-halved until two
     refinements agree to cfg.tol (the embedded self-consistency check);
-    raises ConvergenceError past cfg.max_points and warns TruncationWarning
+    raises ConvergenceError past 2^22 points and warns TruncationWarning
     when f has not decayed at the interval ends.  Requires b != 0.  Scalar y
     in, complex scalar out; array in, array out.
     """
@@ -150,9 +154,7 @@ def direct_quadrature_lct(params: LctParams, f, y,
     if ys.size == 0:
         return np.zeros(y.shape, dtype=complex)
     radius = float(cfg.radius)
-    points = max(int(cfg.initial_points), 3)
-    if points % 2 == 0:
-        points += 1
+    points = _INITIAL_POINTS
 
     edge = np.abs(np.asarray(f(np.array([-radius, 0.0, radius])), dtype=complex))
     if max(edge[0], edge[2]) > 1e-12 * max(1.0, edge[1]):
@@ -181,10 +183,10 @@ def direct_quadrature_lct(params: LctParams, f, y,
             drift = np.max(np.abs(out - previous))
             if drift <= cfg.tol * max(1.0, float(np.max(np.abs(out)))):
                 return complex(out[0]) if y.ndim == 0 else out.reshape(y.shape)
-        if 2 * points - 1 > cfg.max_points:
+        if 2 * points - 1 > _MAX_POINTS:
             raise ConvergenceError(
                 f"quadrature not self-consistent to {cfg.tol} within "
-                f"{cfg.max_points} points"
+                f"{_MAX_POINTS} points"
             )
         previous = out
         points = 2 * points - 1

@@ -138,12 +138,14 @@ class TestTransform:
         err = capsys.readouterr().err
         assert "undersampled" not in err and err.startswith("error:")
 
-    def test_b_zero_non_finite_samples_exit_3(self, capsys):
-        with np.errstate(over="ignore"):
-            assert main(["transform", "--n", "8", "--params", "1,0,0,1",
+    @pytest.mark.parametrize("params", ["1,1,0,1", "1,0,0,1"])
+    def test_b_zero_non_finite_samples_exit_3(self, params, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a shown warning would reach stderr
+            assert main(["transform", "--n", "8", "--params", params,
                          "--function", "gaussian:1,400,0"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "finite" in captured.err
+        assert caught == []
+        assert capsys.readouterr() == ("", "error: signal values must be finite\n")
 
     def test_b_zero_with_csv_input_exits_3(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -215,10 +217,34 @@ class TestTransform:
         err = capsys.readouterr().err
         assert "expected grid" in err
 
-    def test_missing_input_choice_exits_2(self):
-        assert main(["transform", "--n", "4", "--preset", "fourier"]) == 2
-        assert main(["transform", "--n", "4", "--params", "0,1,-1,0",
-                     "--preset", "fourier", "--function", "gaussian:1,0,0"]) == 2
+    def test_missing_input_choice_exits_2(self, tmp_path, capsys):
+        # argparse owns the flag grammar: its usage line, then its message
+        for argv, message in [
+            (["transform", "--n", "4", "--preset", "fourier"],
+             "one of the arguments --function --input is required"),
+            (["transform", "--n", "4", "--params", "0,1,-1,0", "--preset", "fourier",
+              "--function", "gaussian:1,0,0"],
+             "argument --preset: not allowed with argument --params"),
+            (["transform", "--n", "4", "--preset", "fourier", "--function", "gaussian:1,0,0",
+              "--input", str(grid_csv(tmp_path / "in.csv", 4))],
+             "argument --input: not allowed with argument --function"),
+            (["bench", "--sizes", "16", "--params", "0,1,-1,0", "--preset", "fresnel:1"],
+             "argument --preset: not allowed with argument --params"),
+        ]:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: xft ") and err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["transform", "compare"])
+    def test_csv_then_parameters_then_abscissae(self, command, tmp_path):
+        # CSV structure and row count fail first (4), then the quadruple (3),
+        # then the abscissae (4), in both commands.
+        off = tmp_path / "off.csv"
+        off.write_text("x,re,im\n" + "0,1,0\n" * 8, encoding="utf-8")
+        short = grid_csv(tmp_path / "short.csv", 7)
+        argv = [command, "--n", "8", "--params", "1,1,1,1", "--input"]
+        assert main(argv + [str(off)]) == 3
+        assert main(argv + [str(short)]) == 4
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

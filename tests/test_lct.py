@@ -1,4 +1,5 @@
 """Fast transform path: equivalence with the dense oracle and special cases."""
+import dataclasses
 import importlib
 import inspect
 import math
@@ -18,6 +19,7 @@ from xft import (
     HermiteGrid,
     LctParams,
     ParameterError,
+    QuadratureConfig,
     ShapeError,
     Signal,
     UnsupportedBranchError,
@@ -574,4 +576,7 @@ def test_public_names_resolve_and_removed_paths_stay_gone():
     modules = (xft.errors, xft.hermite, xft.fftcore, xft.kernel, xft.lct, xft.dense, xft.oracle)
     assert sorted(xft.__all__) == sorted({"__version__"}.union(*(m.__all__ for m in modules)))
     assert xft.inverse_lct is xft.lct.inverse_lct
-    assert not hasattr(importlib.import_module("xft.cli"), "_inverse_roundtrip")
+    cli = importlib.import_module("xft.cli")
+    for removed in ("_inverse_roundtrip", "_build_input", "_print_expected_grid"):
+        assert not hasattr(cli, removed)
+    assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["radius", "tol"]

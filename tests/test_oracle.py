@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import xft.oracle
 from xft import (
     ConvergenceError,
     DegenerateParameterError,
@@ -99,12 +100,14 @@ class TestDirectQuadrature:
             LctParams.fourier(), lambda x: np.zeros_like(x), 1.0)
         assert val == 0
 
-    def test_refinement_insensitive_to_start(self):
+    def test_refinement_insensitive_to_start(self, monkeypatch):
         g, params = FIG1
-        a = direct_quadrature_lct(params, g.evaluate, 1.5,
-                                  QuadratureConfig(radius=12.0, initial_points=513))
-        b = direct_quadrature_lct(params, g.evaluate, 1.5,
-                                  QuadratureConfig(radius=12.0, initial_points=4097))
+        values = []
+        for start in (513, 4097):
+            monkeypatch.setattr(xft.oracle, "_INITIAL_POINTS", start)
+            values.append(direct_quadrature_lct(params, g.evaluate, 1.5,
+                                                QuadratureConfig(radius=12.0)))
+        a, b = values
         assert abs(a - b) <= 1e-9
 
     def test_truncation_warning_on_slow_decay(self):
@@ -112,10 +115,11 @@ class TestDirectQuadrature:
             direct_quadrature_lct(LctParams.fourier(),
                                   lambda x: 1.0 / (1.0 + x ** 2), 0.0)
 
-    def test_convergence_error_when_capped(self):
+    def test_convergence_error_when_capped(self, monkeypatch):
         g, params = FIG1
-        cfg = QuadratureConfig(radius=12.0, tol=1e-30, initial_points=65,
-                               max_points=257)
+        monkeypatch.setattr(xft.oracle, "_INITIAL_POINTS", 65)
+        monkeypatch.setattr(xft.oracle, "_MAX_POINTS", 257)
+        cfg = QuadratureConfig(radius=12.0, tol=1e-30)
         with pytest.raises(ConvergenceError):
             direct_quadrature_lct(params, g.evaluate, 0.5, cfg)
 
