@@ -72,7 +72,9 @@ def _parse_params(args) -> LctParams:
     # LctParams is built outside _floats: a non-finite value is a ParameterError (exit 3).
     if args.params is not None:
         return LctParams(*_floats(args.params, 4, "--params"))
-    name, _, arg = args.preset.partition(":")
+    # bench may omit both: Fourier is its fallback here, not an argparse
+    # default, which would let an in-process --preset equal to it pass as absent.
+    name, _, arg = ("fourier" if args.preset is None else args.preset).partition(":")
     if name == "fourier":
         if arg:
             raise _UsageError("preset fourier takes no argument")
@@ -294,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--repeats", type=int, default=5, help="timings per size (median)")
     add_params(b, required=False)
     b.add_argument("--output", default="-")
-    b.set_defaults(func=_cmd_bench, preset="fourier")
+    b.set_defaults(func=_cmd_bench)
     return parser
 
 

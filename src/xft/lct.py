@@ -289,7 +289,8 @@ def lct_b_zero(params: LctParams, sampler, n: int) -> TransformResult:
 
     Needs a callable, not a Signal: the branch resamples f at d*y, which is
     off-grid, and silent interpolation would add an unanalyzed error term.
-    Output nodes are the grid nodes themselves (y = x).
+    Output nodes are the grid nodes themselves (y = x).  Raises
+    ParameterError when the scaled samples overflow.
     """
     if params.b != 0:
         raise ParameterError(f"lct_b_zero requires b = 0, got b = {params.b!r}")
@@ -303,7 +304,10 @@ def lct_b_zero(params: LctParams, sampler, n: int) -> TransformResult:
     grid = asymptotic_zeros(n)
     y = grid.nodes
     samples = Signal(grid, sampler(params.d * y)).values  # checks shape and finiteness
-    values = math.sqrt(params.d) * np.exp(0.5j * params.c * params.d * np.square(y)) * samples
+    with np.errstate(over="ignore"):
+        values = math.sqrt(params.d) * np.exp(0.5j * params.c * params.d * np.square(y)) * samples
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("b = 0 branch: the scaled samples overflow")
     return TransformResult(params=params, output_nodes=y.copy(), values=values, n=n)
 
 

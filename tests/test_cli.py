@@ -147,6 +147,15 @@ class TestTransform:
         assert caught == []
         assert capsys.readouterr() == ("", "error: signal values must be finite\n")
 
+    def test_b_zero_overflowing_product_exits_3(self, capsys):
+        # finite samples near exp(709), scaled by sqrt(d) = 1e5
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["transform", "--n", "4", "--params=1e-10,0,0,1e10",
+                         "--function", "gaussian:1e-30,0,-709"]) == 3
+        assert caught == []
+        assert capsys.readouterr() == ("", "error: b = 0 branch: the scaled samples overflow\n")
+
     def test_b_zero_with_csv_input_exits_3(self, tmp_path):
         src = tmp_path / "in.csv"
         main(["transform", "--n", "4", "--params", "1,0,0,1",
@@ -229,6 +238,9 @@ class TestTransform:
               "--input", str(grid_csv(tmp_path / "in.csv", 4))],
              "argument --input: not allowed with argument --function"),
             (["bench", "--sizes", "16", "--params", "0,1,-1,0", "--preset", "fresnel:1"],
+             "argument --preset: not allowed with argument --params"),
+            (["bench", "--sizes", "16", "--repeats", "1", "--params", "1,2,0.5,2",
+              "--preset", "fourier"],
              "argument --preset: not allowed with argument --params"),
         ]:
             assert main(argv) == 2

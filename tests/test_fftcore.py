@@ -13,7 +13,7 @@ from xft import (
     plan_dft,
 )
 from xft.dense import MAX_DENSE_N
-from xft.fftcore import dft_matrix
+from xft.fftcore import _rader_tables, dft_matrix
 
 
 def rel_err(got, ref):
@@ -28,7 +28,7 @@ class TestPlanning:
         assert apply_dft(plan, [3.0 - 1j]).tolist() == [3.0 - 1j]
 
     def test_route_selection(self):
-        # One engine serves every length and both signs.
+        # numpy.fft serves these lengths in both signs.
         for n in (1, 3, 1000, 1024):
             for sign in (1, -1):
                 assert plan_dft(n, sign).route == "numpy"
@@ -81,6 +81,48 @@ class TestAgainstNaive:
             naive_dft(np.zeros(5000), 1)
         with pytest.raises(InvalidSizeError, match=f"n <= {MAX_DENSE_N} "):
             dft_matrix(MAX_DENSE_N + 1, 1)
+
+
+class TestRaderRoute:
+    """Primes n >= 257 with 5-smooth n - 1 run as a cyclic convolution of length n - 1."""
+
+    @pytest.mark.parametrize("n", [257, 769, 3457])
+    def test_matches_naive(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for sign in (1, -1):
+            plan = plan_dft(n, sign)
+            assert plan.route == "rader"
+            assert rel_err(apply_dft(plan, v), naive_dft(v, sign)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [12289, 65537])
+    def test_matches_numpy_fft(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert rel_err(apply_dft(plan_dft(n, -1), v), np.fft.fft(v)) <= 1e-13
+        assert rel_err(apply_dft(plan_dft(n, 1), v), np.fft.ifft(v, norm="forward")) <= 1e-13
+
+    def test_route_selection(self):
+        for sign in (1, -1):
+            assert plan_dft(65537, sign).route == "rader"
+            # 4099 - 1 = 2*3*683; 2*65537 is not prime; 251 is below the threshold
+            for n in (4099, 2 * 65537, 251):
+                assert plan_dft(n, sign).route == "numpy"
+
+    def test_tables_are_read_only(self):
+        perm, spectrum = _rader_tables(769, -1)
+        assert perm.dtype == np.intp and perm.shape == (768,)
+        assert spectrum.shape == (768,)
+        assert not perm.flags.writeable and not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            perm[0] = 0
+        assert _rader_tables(4099, -1) is None
+
+    def test_input_not_mutated(self):
+        v = np.arange(257, dtype=complex)
+        keep = v.copy()
+        apply_dft(plan_dft(257, -1), v)
+        assert np.array_equal(v, keep)
 
 
 class TestInvariants:

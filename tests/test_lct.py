@@ -189,7 +189,7 @@ class TestFastLct:
             with pytest.raises(GridMismatchError):
                 fast_lct(LctParams.fourier(), Signal(grid, values))
 
-    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("n", [8, 64, 256, 769])  # 769: the Rader DFT route
     def test_matches_dense_path(self, n):
         rng = np.random.default_rng(100 + n)
         sig = random_signal(rng, n)
@@ -534,6 +534,11 @@ class TestBZeroBranch:
         g = GaussianParams(1.0, 400.0, 0.0)
         with np.errstate(over="ignore"), pytest.raises(ParameterError, match="finite"):
             lct_b_zero(LctParams(1.0, 0.0, 0.0, 1.0), g.evaluate, 8)
+
+    def test_rejects_overflowing_product(self):
+        # finite samples, but sqrt(d) * samples overflows
+        with pytest.raises(ParameterError, match="overflow"):
+            lct_b_zero(LctParams(1e-10, 0.0, 0.0, 1e10), lambda x: np.full(x.shape, 1e305), 8)
 
     def test_rejects_wrong_sample_shape(self):
         with pytest.raises(ShapeError):
