@@ -156,7 +156,7 @@ def _forward(args):
             return lct_b_zero(params, sample, args.n), None, g
         grid = asymptotic_zeros(args.n)
         signal = Signal(grid, sample(grid.nodes))
-    return fast_lct(params, signal, check_unimodular=not args.no_unimodular_check), signal, g
+    return fast_lct(params, signal), signal, g
 
 
 def _cmd_transform(args) -> int:
@@ -261,8 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         source.add_argument("--function", help="builtin input, e.g. gaussian:1,2,3")
         source.add_argument("--input", help="CSV sample file with header x,re,im")
         p.add_argument("--output", default="-", help="output path (default stdout)")
-        p.add_argument("--no-unimodular-check", action="store_true",
-                       help="skip the |ad-bc-1| <= 1e-10 check")
 
     g = sub.add_parser("grid", help="print the sampling grid as CSV k,x")
     g.add_argument("--n", type=int, required=True)

@@ -120,5 +120,6 @@ def dense_lct_matrix(n: int, params: LctParams) -> np.ndarray:
     _require_dense_size(n)
     if params.b == 0:
         raise DegenerateParameterError("b = 0 has no kernel matrix; use lct_b_zero")
+    params.require_unimodular()
     pre, post, _ = _fused_factors(n, params.a, params.b, params.d)
     return post[:, None] * dft_matrix(n, DFT_SIGN) * pre[None, :]

@@ -207,12 +207,26 @@ def _require_asymptotic_grid(grid: HermiteGrid) -> None:
         )
 
 
-def fast_lct(
-    params: LctParams,
-    signal: Signal,
-    *,
-    check_unimodular: bool = True,
-) -> TransformResult:
+def _chirp_dft_chirp(n: int, a: float, b: float, d: float,
+                     samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(post * DFT(pre * samples), y) at (n, a, b, d): the steps of fast_lct.
+
+    Raises ParameterError, and lets no numpy warning out, when an overflow
+    or invalid operation in the factors, the products or the DFT would make
+    a value non-finite.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pre, post, y = _fused_factors(n, a, b, d)
+            values = pre * samples
+            apply_dft(_cached_plan(n), values, out=values)
+            values *= post
+    except FloatingPointError as exc:
+        raise ParameterError(f"the transform leaves the double range ({exc})") from None
+    return values, y
+
+
+def fast_lct(params: LctParams, signal: Signal) -> TransformResult:
     """Linear canonical transform of a sampled signal in O(n log n).
 
     Steps: (1) values = pre * f, with pre_k = p_k * exp(i a x_k^2/(2b)),
@@ -220,7 +234,8 @@ def fast_lct(
     (3) values *= post, with post_j = C(n) * p_j * exp(i d y_j^2/(2b)) /
     sqrt(2*pi*i*b), where p and C(n) are the boundary phases and constant
     of the scaled Fourier kernel.  Agrees with the dense reference matrix,
-    which is built from the same pre and post, to rounding error.
+    which is built from the same pre and post, to rounding error.  The
+    steps read a, b and d; c enters only through the unimodular check.
 
     pre, post and the output nodes y depend only on (n, a, b, d) and are
     cached for the 8 most recent such keys, at 40*n bytes each (40 MiB at
@@ -232,14 +247,10 @@ def fast_lct(
         raise DegenerateParameterError(
             "b = 0 is the scaling branch; use lct_b_zero with a resampling callable"
         )
-    if check_unimodular:
-        params.require_unimodular()
+    params.require_unimodular()
     _require_asymptotic_grid(signal.grid)
     n = signal.grid.n
-    pre, post, y = _fused_factors(n, params.a, params.b, params.d)
-    values = pre * signal.values
-    apply_dft(_cached_plan(n), values, out=values)
-    values *= post
+    values, y = _chirp_dft_chirp(n, params.a, params.b, params.d, signal.values)
     return TransformResult(params=params, output_nodes=y, values=values, n=n)
 
 
@@ -265,21 +276,21 @@ def inverse_lct(result: TransformResult) -> TransformResult:
 
     The forward output sits on y = s*x with s = 4b/pi.  With r = |s|, the
     values read in increasing y are transformed at (d*r, -b/r, -c*r, a/r),
-    scaled by sqrt(r) and read in increasing x.  That second stage skips
-    the unimodular check: fast_lct reads only a, b and d, so it exactly
-    inverts whatever the forward transform computed.
+    scaled by sqrt(r) and read in increasing x.  That quadruple is
+    unimodular whenever params is, so no second check runs.
     """
-    a, b, c, d = result.params.as_tuple()
+    a, b, _, d = result.params.as_tuple()
     if b == 0:
         raise DegenerateParameterError(
             "b = 0: the inverse resamples off-grid; use lct_b_zero with a callable"
         )
+    if np.shape(result.values) != (result.n,):  # the products below would broadcast
+        raise ShapeError(f"result has {np.shape(result.values)} values for n={result.n}")
     r = abs(4.0 * b / math.pi)
     grid = asymptotic_zeros(result.n)
     forward = result.values if b > 0 else result.values[::-1]
-    back = fast_lct(LctParams(d * r, -b / r, -c * r, a / r), Signal(grid, forward),
-                    check_unimodular=False)
-    values = math.sqrt(r) * (back.values[::-1] if b > 0 else back.values)
+    back, _ = _chirp_dft_chirp(result.n, d * r, -b / r, a / r, forward)
+    values = math.sqrt(r) * (back[::-1] if b > 0 else back)
     return TransformResult(params=result.params.inverse(), output_nodes=grid.nodes,
                            values=values, n=result.n)
 

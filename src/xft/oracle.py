@@ -112,25 +112,36 @@ def gaussian_lct_closed_form(g: GaussianParams, params: LctParams, y):
 
     Product of six factors with principal branches for sqrt(2*pi*i*b) and
     the quarter power; cross-validated against direct_quadrature_lct.
-    Scalar y in, complex scalar out; array in, array out.
+    Scalar y in, complex scalar out; array in, array out.  Raises
+    ParameterError when an intermediate or the result leaves the double
+    range; an envelope that underflows to 0 is a valid result.
     """
     if params.b == 0:
         raise DegenerateParameterError("closed form defined for b != 0 only")
     a, b, c, d = params.as_tuple()
     alpha, beta, gamma = g.alpha, g.beta, g.gamma
     y = np.asarray(y, dtype=float)
-    big_d = 4.0 * b * b * alpha * alpha + a * a
-    quarter = alpha * alpha + a * a / (4.0 * b * b)
-    prefactor = math.sqrt(math.pi) / (np.sqrt(2j * np.pi * b) * quarter ** 0.25)
-    stationary = math.exp(alpha * (beta * beta - alpha * gamma) / quarter)
-    rotation = np.exp(0.5j * math.atan(a / (2.0 * alpha * b)))
-    envelope = np.exp(-(alpha * y * y + 2.0 * beta * a * y + a * a * gamma) / big_d)
-    shear = np.exp(1j * a * c * y * y / (2.0 * big_d))
-    carrier = np.exp(
-        2j * b * (alpha * alpha * d * y * y + 2.0 * beta * alpha * y + beta * beta * a)
-        / big_d
-    )
-    out = prefactor * stationary * rotation * envelope * shear * carrier
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            big_d = 4.0 * b * b * alpha * alpha + a * a
+            quarter = alpha * alpha + a * a / (4.0 * b * b)
+            prefactor = math.sqrt(math.pi) / (np.sqrt(2j * np.pi * b) * quarter ** 0.25)
+            stationary = math.exp(alpha * (beta * beta - alpha * gamma) / quarter)
+            rotation = np.exp(0.5j * math.atan(a / (2.0 * alpha * b)))
+            envelope = np.exp(-(alpha * y * y + 2.0 * beta * a * y + a * a * gamma) / big_d)
+            shear = np.exp(1j * a * c * y * y / (2.0 * big_d))
+            carrier = np.exp(
+                2j * b * (alpha * alpha * d * y * y + 2.0 * beta * alpha * y + beta * beta * a)
+                / big_d
+            )
+            out = prefactor * stationary * rotation * envelope * shear * carrier
+        # Python float sums reach inf without raising, so they are checked too.
+        finite = math.isfinite(big_d + quarter) and np.all(np.isfinite(out))
+    except ArithmeticError:  # OverflowError, ZeroDivisionError, FloatingPointError
+        finite = False
+    if not finite:
+        raise ParameterError(f"the closed form for {g} at {params.as_tuple()} "
+                             "leaves the double range")
     return complex(out) if out.ndim == 0 else out
 
 

@@ -96,22 +96,37 @@ class TestTransform:
     def test_non_unimodular_exits_3(self):
         assert main(["transform", "--n", "8", "--params", "1,1,1,1",
                      "--function", "gaussian:1,0,0"]) == 3
+        # c is read only by the check: (1, 2, 0.5, 2) passes, c = 999 does not
+        assert main(["transform", "--n", "64", "--params", "1,2,999,2",
+                     "--function", "gaussian:1,2,3"]) == 3
 
-    @pytest.mark.parametrize("check", [[], ["--no-unimodular-check"]])
+    def test_unimodular_check_has_no_bypass_flag(self, capsys):
+        assert main(["transform", "--n", "64", "--params", "1,2,0.5,2",
+                     "--no-unimodular-check", "--function", "gaussian:1,2,3"]) == 2
+        assert "unrecognized arguments: --no-unimodular-check" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", [["--params", "nan,1,0,1"],
                                       ["--params", "1,1,nan,1"],
                                       ["--preset", "fresnel:inf"],
                                       ["--preset", "frft:inf"]])
-    def test_nonfinite_params_exit_3(self, spec, check):
-        assert main(["transform", "--n", "8", *spec, *check,
+    def test_nonfinite_params_exit_3(self, spec):
+        assert main(["transform", "--n", "8", *spec,
                      "--function", "gaussian:1,0,0"]) == 3
 
-    def test_unimodular_escape_hatch(self, tmp_path):
-        out = tmp_path / "x.csv"
-        rc = main(["transform", "--n", "8", "--params", "1,1,1,1.0000005",
-                   "--function", "gaussian:1,0,0", "--no-unimodular-check",
-                   "--output", str(out)])
-        assert rc == 0
+    @pytest.mark.parametrize("spec", [
+        # finite samples near 1.6e308: the DFT sum overflows
+        ["--params", "1,1,0,1", "--function", "gaussian:1e-30,0,-709.7"],
+        # a/(2b) = inf: the input chirp's phase is not finite
+        ["--params", "1e300,1e-300,0,1e-300", "--function", "gaussian:1,0,0"],
+    ])
+    def test_non_finite_transform_exits_3(self, spec, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a shown warning would reach stderr
+            assert main(["transform", "--n", "8", *spec]) == 3
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the transform leaves the double range")
+        assert err.count("\n") == 1
 
     def test_bytes(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -123,10 +138,6 @@ class TestTransform:
         expected = csv_text("y,re,im", res.output_nodes, res.values.real, res.values.imag)
         assert out.read_bytes() == expected.encode("utf-8")
         assert capsys.readouterr().out == expected
-
-    def test_no_unimodular_check_does_not_reach_b_zero(self):
-        assert main(["transform", "--n", "4", "--params", "1,0,0,1.0000005",
-                     "--no-unimodular-check", "--function", "gaussian:1,0,0"]) == 3
 
     def test_aliasing_warning(self, capsys):
         assert main(["transform", "--n", "256", "--params", "40,0.1,0,0.025",
@@ -317,21 +328,11 @@ class TestCompare:
 
     def test_dense_oracle_small_n(self, tmp_path, capsys):
         rc = main(["compare", "--n", "8", "--params", "0.8,1.7,-0.2,0.825",
-                   "--no-unimodular-check", "--function", "gaussian:1,0,0",
+                   "--function", "gaussian:1,0,0",
                    "--oracle", "dense", "--output", str(tmp_path / "e.csv")])
         assert rc == 0
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(summary.split(",")[1]) <= 1e-12
-
-    def test_no_unimodular_check_reaches_every_transform(self, tmp_path, capsys):
-        # det = 5e-7: accepted only because the check is off, on both paths
-        common = ["compare", "--n", "16", "--params", "1,1,1,1.0000005",
-                  "--no-unimodular-check", "--function", "gaussian:1,0,0",
-                  "--output", str(tmp_path / "e.csv")]
-        assert main(common + ["--oracle", "dense"]) == 0
-        summary = capsys.readouterr().out.strip().splitlines()[-1]
-        assert float(summary.split(",")[1]) <= 1e-12
-        assert main(common + ["--inverse"]) == 0
 
     @pytest.mark.parametrize("oracle", ["closed-form", "dense"])
     def test_bytes(self, oracle, capsys):
@@ -379,12 +380,26 @@ class TestCompare:
         assert rc == 0
 
     def test_inverse_round_trip_negative_b(self, tmp_path, capsys):
-        rc = main(["compare", "--n", "32", "--params", "1,-2,0.5,-2.25",
-                   "--no-unimodular-check", "--function", "gaussian:1,0,0",
+        rc = main(["compare", "--n", "32", "--params", "1,-2,1.625,-2.25",
+                   "--function", "gaussian:1,0,0",
                    "--inverse", "--output", str(tmp_path / "inv.csv")])
         assert rc == 0
         summary = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(summary.split(",")[1]) <= 1e-10
+
+    @pytest.mark.parametrize("spec", [
+        ["--preset", "fourier", "--function", "gaussian:1,30,0"],  # math.exp overflows
+        ["--preset", "fresnel:1e-300", "--function", "gaussian:1,0,0"],  # 4b^2 underflows to 0
+        ["--preset", "fresnel:1e-160", "--function", "gaussian:1,0,0"],  # a^2/(4b^2) = inf
+    ])
+    def test_closed_form_out_of_range_exits_3(self, spec, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", "--n", "8", *spec, "--oracle", "closed-form"]) == 3
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the closed form for ")
+        assert err.endswith("leaves the double range\n") and err.count("\n") == 1
 
     def test_csv_input_needs_compatible_oracle(self, tmp_path):
         src = tmp_path / "in.csv"

@@ -216,6 +216,11 @@ class TestDenseLct:
         with pytest.raises(DegenerateParameterError):
             dense_lct_matrix(8, LctParams(1.0, 0.0, 0.0, 1.0))
 
+    def test_rejects_non_unimodular(self):
+        # built from the (a, b, d) factors alone, so c must pass the check
+        with pytest.raises(ParameterError, match="determinant"):
+            dense_lct_matrix(8, LctParams(1.0, 1.0, 1.0, 1.0))
+
     def test_size_guard(self):
         with pytest.raises(InvalidSizeError):
             dense_lct_matrix(8192, LctParams.fourier())

@@ -6,6 +6,7 @@ import math
 import pkgutil
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from xft import (
     QuadratureConfig,
     ShapeError,
     Signal,
+    TransformResult,
     UnsupportedBranchError,
     asymptotic_zeros,
     chirp_phase_step,
@@ -80,8 +82,7 @@ class TestLctParams:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", range(4))
     def test_rejects_nonfinite_entry(self, field, bad):
-        # Rejected at construction, so check_unimodular=False cannot let a
-        # NaN matrix through (c and d never enter the pre-chirp).
+        # Rejected at construction, before any transform or check reads it.
         values = [1.0, 1.0, 0.0, 1.0]
         values[field] = bad
         with pytest.raises(ParameterError):
@@ -158,8 +159,17 @@ class TestFastLct:
         sig = Signal(asymptotic_zeros(4), np.ones(4, dtype=complex))
         with pytest.raises(ParameterError):
             fast_lct(LctParams(1.0, 1.0, 1.0, 1.0), sig)
-        # escape hatch
-        fast_lct(LctParams(1.0, 1.0, 1.0, 1.0), sig, check_unimodular=False)
+
+    def test_rejects_non_finite_result(self):
+        # finite samples whose DFT sum overflows, forward and inverse
+        params, grid = LctParams(1.0, 2.0, 0.5, 2.0), asymptotic_zeros(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="double range"):
+                fast_lct(params, Signal(grid, np.full(8, 1e308)))
+            result = TransformResult(params, grid.nodes, np.full(8, 1e308 + 0j), 8)
+            with pytest.raises(ParameterError, match="double range"):
+                inverse_lct(result)
 
     def test_rejects_wrong_grid(self):
         nodes = np.linspace(-1, 1, 8)
@@ -481,14 +491,11 @@ class TestInverse:
         assert back.output_nodes is asymptotic_zeros(64).nodes
         assert back.params == params.inverse() and back.n == 64
 
-    def test_non_unimodular_forward_round_trips(self):
-        # det = 1 + 5e-7: the forward check is off, and the second stage
-        # inverts whatever the forward transform computed.
-        params = LctParams(1.0, 1.0, 1.0, 1.0000005)
-        sig = random_signal(np.random.default_rng(5), 128)
-        back = inverse_lct(fast_lct(params, sig, check_unimodular=False))
-        assert (np.linalg.norm(back.values - sig.values)
-                <= 1e-12 * np.linalg.norm(sig.values))
+    def test_rejects_wrong_value_count(self):
+        grid = asymptotic_zeros(8)
+        result = TransformResult(LctParams(1.0, 2.0, 0.5, 2.0), grid.nodes, np.ones(1, complex), 8)
+        with pytest.raises(ShapeError):
+            inverse_lct(result)
 
     def test_rejects_b_zero_result(self):
         res = lct_b_zero(LctParams(1.0, 0.0, 0.0, 1.0), np.exp, 8)
@@ -574,7 +581,7 @@ def test_public_names_resolve_and_removed_paths_stay_gone():
     assert not hasattr(xft.oracle, "quadrature_on_nodes")
     assert "threads" not in inspect.signature(direct_quadrature_lct).parameters
     assert not hasattr(Signal, "sample")
-    assert "unimodular_tol" not in inspect.signature(fast_lct).parameters
+    assert list(inspect.signature(fast_lct).parameters) == ["params", "signal"]
     assert not hasattr(xft, "DenseTransform") and not hasattr(xft.dense, "DenseTransform")
     for method in (LctParams.is_unimodular, LctParams.require_unimodular):
         assert list(inspect.signature(method).parameters) == ["self"]

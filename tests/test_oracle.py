@@ -1,5 +1,6 @@
 """Oracles: closed-form Gaussian transform, brute-force quadrature, metrics."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ class TestClosedForm:
         with pytest.raises(DegenerateParameterError):
             gaussian_lct_closed_form(GaussianParams(1, 0, 0),
                                      LctParams(1.0, 0.0, 0.0, 1.0), 0.0)
+
+    @pytest.mark.parametrize("g,params", [
+        (GaussianParams(1, 30, 0), LctParams.fourier()),  # math.exp overflows
+        (GaussianParams(1, 0, 0), LctParams.fresnel(1e-300)),  # 4b^2 underflows to 0
+        (GaussianParams(1, 0, 0), LctParams.fresnel(1e-160)),  # a^2/(4b^2) = inf
+    ])
+    def test_rejects_out_of_double_range(self, g, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="leaves the double range"):
+                gaussian_lct_closed_form(g, params, np.linspace(-3.0, 3.0, 8))
+
+    def test_underflowed_envelope_is_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = gaussian_lct_closed_form(GaussianParams(1, 0, 0), LctParams.fourier(),
+                                           np.array([0.0, 100.0]))
+        assert far[0] != 0 and far[1] == 0
 
     @pytest.mark.parametrize("g,params", [FIG1, FIG2])
     def test_modulus_is_log_concave_gaussian(self, g, params):
