@@ -95,7 +95,8 @@ class TestRaderRoute:
             assert plan.route == "rader"
             assert rel_err(apply_dft(plan, v), naive_dft(v, sign)) <= 1e-13
 
-    @pytest.mark.parametrize("n", [12289, 65537])
+    # 39367 - 1 = 2 * 3^9 splits into 18 rows of 2187, 65537 - 1 into 16 of 4096.
+    @pytest.mark.parametrize("n", [12289, 39367, 65537])
     def test_matches_numpy_fft(self, n):
         rng = np.random.default_rng(n)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -110,12 +111,19 @@ class TestRaderRoute:
                 assert plan_dft(n, sign).route == "numpy"
 
     def test_tables_are_read_only(self):
-        perm, spectrum = _rader_tables(769, -1)
+        perm, spectrum, twiddles = _rader_tables(769, -1)
         assert perm.dtype == np.intp and perm.shape == (768,)
-        assert spectrum.shape == (768,)
+        assert spectrum.shape == (768,) and twiddles == ()
         assert not perm.flags.writeable and not spectrum.flags.writeable
         with pytest.raises(ValueError):
             perm[0] = 0
+        perm, spectrum, twiddles = _rader_tables(65537, 1)
+        assert perm.shape == (65536,) and spectrum.shape == (16, 4096)
+        assert [t.shape for t in twiddles] == [(16, 64, 1), (16, 1, 64)]
+        for table in (perm, spectrum, *twiddles):
+            assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            twiddles[0][0, 0, 0] = 0
         assert _rader_tables(4099, -1) is None
 
     def test_input_not_mutated(self):
