@@ -9,7 +9,7 @@ A prime n >= 257 whose n - 1 has no prime factor above 5 (257, 769, 3457,
 as four-step transforms in rows of at most 4,096 points, so that no
 pocketfft scratch is large enough for the heap to return it to the system
 and fault it in again on the next call.  At n = 65537 one DFT takes ~3.2 ms
-warm, against ~4.4 ms with two whole length-65536 FFTs and ~20 ms for the
+warm, against ~4.4 ms with two whole length-65536 FFTs and ~10 ms for the
 one prime-length ``numpy.fft`` (numpy 2.4.6, 2-core Xeon VM).
 
 A plan is a validated (length, direction) record and holds no tables or
