@@ -12,17 +12,36 @@ and fault it in again on the next call.  At n = 65537 one DFT takes ~3.2 ms
 warm, against ~4.4 ms with two whole length-65536 FFTs and ~10 ms for the
 one prime-length ``numpy.fft`` (numpy 2.4.6, 2-core Xeon VM).
 
+From n = 2^17 (ROWS_FROM), a length off Rader's route takes the row route
+when its largest divisor cols up to 4,096 leaves rows = n/cols of at most
+4,096: every power of two from 2^17 to 2^24 (256 x 4096 at 2^20), and
+3^11 as 81 x 2187.  The same four steps read v into a padded work array,
+and a transposed copy writes the result to ``out`` in natural order.  Each
+step runs in two halves fixed by n: the calling thread runs one while the
+module's one worker thread runs the other, so the route uses two cores.
+The worker is started on the first such transform (``concurrent.futures``
+is imported then, not at ``import xft``), runs its half in a copy of the
+caller's context (numpy's errstate included), and is started afresh in a
+forked child.  At 2^20 a traced benchmark run times one DFT at ~19 ms,
+where the one in-place ``numpy.fft`` took 37-46 ms in runs alternated with
+it; below 2^17 the halves were slower.
+
 A plan is a validated (length, direction) record and holds no tables or
 scratch (the Rader tables are cached read-only, about 24*n bytes per
-(n, sign) for the 8 most recent), so one plan may be applied concurrently
-from multiple threads; every apply returns a fresh array (or fills the
-caller's ``out``) and is deterministic (bit-identical output for identical
-input and plan).
+(n, sign) for the 8 most recent, and the row route's twiddles likewise,
+512 KiB at 2^20), so one plan may be applied concurrently from multiple
+threads, whose halves the one worker thread then takes in turn.  Every
+apply returns a fresh array (or fills the caller's ``out``) and is
+deterministic (bit-identical output for identical input and plan,
+whichever thread runs a half).
 """
 from __future__ import annotations
 
+import contextvars
 import math
-from functools import lru_cache
+import os
+import threading
+from functools import lru_cache, partial
 
 import numpy as np
 # Imported eagerly: numpy loads numpy.fft lazily, and paying that load on the
@@ -47,7 +66,8 @@ class DftPlan:
         +1 or -1, the sign of i*2*pi*j*k/n in the kernel exponent.
     route : str
         The DFT engine: "rader" for the prime lengths of the Rader route,
-        "numpy" for every other length.
+        "rows" for the long lengths of the row route, "numpy" for every
+        other length.
     """
 
     __slots__ = ("n", "direction_sign", "route")
@@ -59,13 +79,20 @@ class DftPlan:
             raise ParameterError(f"direction_sign must be +1 or -1, got {direction_sign!r}")
         self.n = int(n)
         self.direction_sign = int(direction_sign)
-        self.route = "numpy" if _rader_tables(self.n, self.direction_sign) is None else "rader"
+        self.route = ("rader" if _rader_tables(self.n, self.direction_sign) is not None
+                      else "rows" if _row_twiddles(self.n, self.direction_sign) is not None
+                      else "numpy")
 
 
 # From n - 1 = SPLIT_FROM, Rader's route runs its ffts in rows of at most
-# ROW_POINTS points; see _rader_tables.
+# ROW_POINTS points (see _rader_tables), and from n = ROWS_FROM so does every
+# other length that splits into at most ROW_POINTS such rows (see _row_dft).
 ROW_POINTS = 4096
 SPLIT_FROM = 14400
+ROWS_FROM = 2**17
+# Entries added to each row of _row_dft's work array, so that its columns
+# are not a power-of-two stride apart.
+ROW_PAD = 4
 
 
 @lru_cache(maxsize=8)
@@ -127,7 +154,7 @@ def _rader_tables(n: int, sign: int) -> tuple[np.ndarray, np.ndarray, tuple] | N
         spectrum, twiddles = fft(kernel, norm="forward"), ()
     else:
         cols = _largest_divisor(n - 1, ROW_POINTS)
-        twiddles = _twiddles(n - 1, cols)
+        twiddles = _twiddles(n - 1, cols, -1)
         spectrum = kernel.reshape(-1, cols)
         _fft_to_transposed(spectrum, twiddles)
         spectrum *= 1 / (n - 1)  # as norm="forward" scales
@@ -140,8 +167,8 @@ def _largest_divisor(total: int, limit: int) -> int:
     return int(d[total % d == 0][-1])
 
 
-def _twiddles(total: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (coarse, fine) with coarse[r, i] * fine[r, j] = exp(-2j*pi*r*(i*m + j)/total).
+def _twiddles(total: int, cols: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (coarse, fine) with coarse[r, i] * fine[r, j] = exp(sign*2j*pi*r*(i*m + j)/total).
 
     Shapes (rows, cols/m, 1) and (rows, 1, m), rows = total/cols and m the
     largest divisor of cols up to sqrt(cols): two small tables in place of
@@ -153,7 +180,7 @@ def _twiddles(total: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
     tables = []
     for residues in (r * np.arange(0, cols, m)[:, None], r * np.arange(m)):
         centred = np.where(2 * residues > total, residues - total, residues)
-        table = _cis(centred * (-2 * np.pi / total))
+        table = _cis(centred * (sign * 2 * np.pi / total))
         table.setflags(write=False)
         tables.append(table)
     return tuple(tables)
@@ -188,6 +215,116 @@ def _fft_from_transposed(grid: np.ndarray, twiddles: tuple) -> None:
         fft(grid, axis=0, out=grid)
 
 
+@lru_cache(maxsize=8)
+def _row_twiddles(n: int, sign: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read-only twiddles of the row route at (n, sign), or None off it.
+
+    The route takes n >= ROWS_FROM with cols, the largest divisor of n up
+    to ROW_POINTS, and rows = n/cols both at most ROW_POINTS (256 x 4096 at
+    2^20), so that every fft is at most 4,096 points long.  The twiddles
+    are _twiddles(n, cols, sign): 16*rows*(cols/m + m) bytes, 524,288 at
+    2^20 and 139,968 at 3^11, cached for the 8 most recent (n, sign).  An
+    apply allocates a work array of 16*rows*(cols + ROW_PAD) bytes in
+    place of pocketfft's length-n scratch.  ROWS_FROM is measured with
+    fast_lct in fresh processes, 3 alternating rounds against one
+    numpy.fft (2-core Xeon VM, numpy 2.4.6): the halves were slower at
+    2^14, 2^15 and 3 * 2^15, level at 2^16, and faster in every round at
+    2^17, 3^11 and 2^18.
+    """
+    if n < ROWS_FROM:
+        return None
+    cols = _largest_divisor(n, ROW_POINTS)
+    if n // cols > ROW_POINTS:
+        return None
+    return _twiddles(n, cols, sign)
+
+
+def _row_dft(v: np.ndarray, out: np.ndarray, sign: int, twiddles: tuple) -> None:
+    """out[:] = the DFT of v in natural order, by Bailey's four steps; out may be v.
+
+    Axis-0 ffts of the (rows, cols) view of v into a fresh work array, the
+    twiddle product and the row ffts, then a transposed copy into out.  The
+    work array's rows are ROW_PAD entries longer than cols, so that the
+    axis-0 ffts and the copy do not read columns a power of two apart.  Each
+    step is split in halves by _halves.
+    """
+    coarse, fine = twiddles
+    rows, cols = coarse.shape[0], coarse.shape[1] * fine.shape[2]
+    transform = fft if sign < 0 else partial(ifft, norm="forward")
+    src = v.reshape(rows, cols)
+    grid = np.empty((rows, cols + ROW_PAD), dtype=complex)[:, :cols]
+    dst = out.reshape(cols, rows)
+
+    def columns(lo: int, hi: int) -> None:
+        block = grid[:, lo:hi]
+        np.copyto(block, src[:, lo:hi])
+        transform(block, axis=0, out=block)
+
+    def twiddled_rows(lo: int, hi: int) -> None:
+        # Eight rows at a time by one product of their two tables: _twiddle's
+        # products by each table, broadcast over padded rows, took 3x as long.
+        for r in range(lo, hi, 8):
+            end = min(r + 8, hi)
+            block = grid[r:end]
+            block *= (coarse[r:end] * fine[r:end]).reshape(block.shape)
+        transform(grid[lo:hi], out=grid[lo:hi])
+
+    def transposed(lo: int, hi: int) -> None:
+        np.copyto(dst[lo:hi], grid[:, lo:hi].T)
+
+    _halves(cols, columns)  # reads all of v before out, which may be v, is written
+    _halves(rows, twiddled_rows)
+    _halves(cols, transposed)
+
+
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _worker():
+    """The executor of the module's one worker thread, started on first use."""
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            # Imported here: importing it at ``import xft`` costs every process
+            # ~0.4 MB of resident memory and ~7 ms.
+            from concurrent.futures import ThreadPoolExecutor
+            _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-fftcore")
+        return _executor
+
+
+def _forget_worker() -> None:
+    # A forked child has no copy of the worker thread: start a new one there.
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _halves(count: int, stage) -> None:
+    """stage(count // 2, count) on the worker thread while stage(0, count // 2) runs here.
+
+    The split depends only on count, so the output bits do not depend on the
+    host or on which thread runs a half.  The worker's half runs in a copy of
+    the caller's context, so numpy's errstate, a context variable, holds
+    there too; its exception is raised here once both halves have ended.
+    At interpreter exit, e.g. in an atexit function, both halves run here.
+    """
+    half = count // 2
+    try:
+        future = _worker().submit(contextvars.copy_context().run, stage, half, count)
+    except RuntimeError:  # at interpreter exit, where no thread takes new work
+        stage(half, count)
+        stage(0, half)
+        return
+    try:
+        stage(0, half)
+    finally:
+        future.result()
+
+
 def plan_dft(n: int, direction_sign: int) -> DftPlan:
     """Create a plan; see DftPlan."""
     return DftPlan(n, direction_sign)
@@ -208,14 +345,18 @@ def apply_dft(plan: DftPlan, v, out: np.ndarray | None = None) -> np.ndarray:
     if out is not None and not (isinstance(out, np.ndarray) and out.shape == (plan.n,)
                                 and out.dtype == np.complex128):
         raise ShapeError(f"out must be a complex128 array of shape ({plan.n},)")
-    tables = _rader_tables(plan.n, plan.direction_sign)
-    if tables is None:
+    if plan.route == "numpy":
         if plan.direction_sign < 0:
             return fft(v, out=out)
         return ifft(v, norm="forward", out=out)
+    if plan.route == "rows":
+        if out is None:
+            out = np.empty(plan.n, dtype=complex)
+        _row_dft(v, out, plan.direction_sign, _row_twiddles(plan.n, plan.direction_sign))
+        return out
     # out[g^p] - v[0] = sum_q v[g^q] w^(g^(p+q)), a cyclic correlation: a second
     # forward fft, not an ifft, reads it out at p, so the scatter reuses perm.
-    perm, spectrum, twiddles = tables
+    perm, spectrum, twiddles = _rader_tables(plan.n, plan.direction_sign)
     head = v[0]  # read before out, which may be v, is written
     work = v[perm]
     grid = work.reshape(spectrum.shape)  # a view: frequency 0 stays at work[0]

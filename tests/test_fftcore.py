@@ -1,5 +1,11 @@
 """FFT engine: plan validation, naive-DFT oracle agreement, invariants."""
+import concurrent.futures
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from xft import (
     plan_dft,
 )
 from xft.dense import MAX_DENSE_N
+from xft import fftcore
 from xft.fftcore import _rader_tables, dft_matrix
 
 
@@ -28,10 +35,13 @@ class TestPlanning:
         assert apply_dft(plan, [3.0 - 1j]).tolist() == [3.0 - 1j]
 
     def test_route_selection(self):
-        # numpy.fft serves these lengths in both signs.
-        for n in (1, 3, 1000, 1024):
-            for sign in (1, -1):
+        for sign in (1, -1):
+            # numpy.fft serves these lengths: below the row route's cutoff, or
+            # 2 * 524287 (prime), whose rows would be 524287 points long.
+            for n in (1, 3, 512, 1000, 1024, 2**17 - 1, 2 * 524287):
                 assert plan_dft(n, sign).route == "numpy"
+            for n in (2**17, 3**11, 2**20):
+                assert plan_dft(n, sign).route == "rows"
 
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidSizeError):
@@ -95,8 +105,10 @@ class TestRaderRoute:
             assert plan.route == "rader"
             assert rel_err(apply_dft(plan, v), naive_dft(v, sign)) <= 1e-13
 
-    # 39367 - 1 = 2 * 3^9 splits into 18 rows of 2187, 65537 - 1 into 16 of 4096.
-    @pytest.mark.parametrize("n", [12289, 39367, 65537])
+    # 39367 - 1 = 2 * 3^9 splits into 18 rows of 2187, 65537 - 1 into 16 of 4096;
+    # 3^11, 10^6 and 2^20 take the row route, in 81 rows of 2187, 250 of 4000
+    # (halves of 125 rows) and 256 of 4096.
+    @pytest.mark.parametrize("n", [12289, 39367, 65537, 3**11, 10**6, 2**20])
     def test_matches_numpy_fft(self, n):
         rng = np.random.default_rng(n)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -171,7 +183,7 @@ class TestInvariants:
         b = apply_dft(plan, v)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 512, 1000, 65537])
+    @pytest.mark.parametrize("n", [1, 2, 7, 512, 1000, 65537, 2**20])
     def test_in_place_out_is_bit_identical(self, n):
         rng = np.random.default_rng(n)
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -226,3 +238,101 @@ class TestConcurrency:
             t.join()
         assert np.array_equal(results[0], seq[0])
         assert np.array_equal(results[1], seq[1])
+
+    def test_row_route_halves_inline_are_bit_identical(self, monkeypatch):
+        class Inline:
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        rng = np.random.default_rng(13)
+        n = 3**11
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        plans = [plan_dft(n, sign) for sign in (1, -1)]
+        threaded = [apply_dft(plan, v) for plan in plans]
+        monkeypatch.setattr(fftcore, "_worker", Inline)
+        for plan, ref in zip(plans, threaded):
+            assert np.array_equal(apply_dft(plan, v), ref)
+
+    def test_one_worker_for_racing_first_applies(self, monkeypatch):
+        started = []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(self)
+                super().__init__(*args, **kwargs)
+
+        rng = np.random.default_rng(14)
+        n = 2**17
+        plan = plan_dft(n, -1)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        expected = apply_dft(plan, v)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        rounds, results = 5, [None] * 6
+        gate = threading.Barrier(len(results))
+
+        def first_apply(i):
+            gate.wait(timeout=60)
+            self._hammer(plan, v, results, i)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                monkeypatch.setattr(fftcore, "_executor", None)
+                threads = [threading.Thread(target=first_apply, args=(i,))
+                           for i in range(len(results))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert all(np.array_equal(got, expected) for got in results)
+        finally:
+            sys.setswitchinterval(switch)
+            for executor in started:
+                executor.shutdown()
+        assert len(started) == rounds
+
+    @pytest.mark.parametrize("started", [True, False])
+    def test_row_route_runs_at_interpreter_exit(self, started):
+        # atexit functions run after the worker thread has been stopped, and
+        # no new thread can start there.
+        script = (
+            "import atexit, numpy as np\n"
+            "from xft import apply_dft, plan_dft\n"
+            "plan = plan_dft(2**17, -1)\n"
+            "v = np.arange(2**17) % 7 + 1j\n"
+            f"first = apply_dft(plan, v) if {started} else np.fft.fft(v)\n"
+            "atexit.register(lambda: print(np.linalg.norm(apply_dft(plan, v) - first)"
+            " <= 1e-13 * np.linalg.norm(first)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(fftcore.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout.split() == ["True"], proc.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs os.fork")
+    def test_row_route_runs_in_a_forked_child(self):
+        rng = np.random.default_rng(15)
+        n = 2**17
+        plan = plan_dft(n, -1)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        expected = apply_dft(plan, v)  # the worker thread is running from here
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(apply_dft(plan, v), expected) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's transform did not finish in 30 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0

@@ -161,8 +161,11 @@ class TestFastLct:
             fast_lct(LctParams(1.0, 1.0, 1.0, 1.0), sig)
 
     def test_rejects_non_finite_result(self):
-        # finite samples whose DFT sum overflows, forward and inverse
+        # finite samples whose DFT sum overflows, forward and inverse; at 2^20
+        # only in columns 2058 and up of the row route's 256 x 4096 split,
+        # which the worker thread transforms
         params, grid = LctParams(1.0, 2.0, 0.5, 2.0), asymptotic_zeros(8)
+        big = asymptotic_zeros(2**20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="double range"):
@@ -170,6 +173,9 @@ class TestFastLct:
             result = TransformResult(params, grid.nodes, np.full(8, 1e308 + 0j), 8)
             with pytest.raises(ParameterError, match="double range"):
                 inverse_lct(result)
+            samples = np.where(np.arange(big.n) % 4096 >= 2058, 1e308, 0.0)
+            with pytest.raises(ParameterError, match="double range"):
+                fast_lct(params, Signal(big, samples))
 
     def test_rejects_wrong_grid(self):
         nodes = np.linspace(-1, 1, 8)
