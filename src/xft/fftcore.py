@@ -22,18 +22,21 @@ module's one worker thread runs the other, so the route uses two cores.
 The worker is started on the first such transform (``concurrent.futures``
 is imported then, not at ``import xft``), runs its half in a copy of the
 caller's context (numpy's errstate included), and is started afresh in a
-forked child.  At 2^20 a traced benchmark run times one DFT at ~19 ms,
-where the one in-place ``numpy.fft`` took 37-46 ms in runs alternated with
-it; below 2^17 the halves were slower.
+forked child.  A caller runs both of its halves itself when the process
+may run on only one CPU, while the worker runs another caller's half, or
+when the worker has not begun the half by the time the caller ends its
+own.  At 2^20 a traced benchmark run times one DFT at ~19 ms, where the one
+in-place ``numpy.fft`` took 37-46 ms in runs alternated with it; below
+2^17 the halves were slower.
 
 A plan is a validated (length, direction) record and holds no tables or
 scratch (the Rader tables are cached read-only, about 24*n bytes per
 (n, sign) for the 8 most recent, and the row route's twiddles likewise,
-512 KiB at 2^20), so one plan may be applied concurrently from multiple
-threads, whose halves the one worker thread then takes in turn.  Every
-apply returns a fresh array (or fills the caller's ``out``) and is
-deterministic (bit-identical output for identical input and plan,
-whichever thread runs a half).
+512 KiB at 2^20; the module keeps the row route's last work array, 16.8 MB
+at 2^20, for the next apply it fits), so one plan may be applied
+concurrently from multiple threads.  Every apply returns a fresh array (or
+fills the caller's ``out``) and is deterministic (bit-identical output for
+identical input and plan, whichever thread runs a half).
 """
 from __future__ import annotations
 
@@ -224,8 +227,9 @@ def _row_twiddles(n: int, sign: int) -> tuple[np.ndarray, np.ndarray] | None:
     2^20), so that every fft is at most 4,096 points long.  The twiddles
     are _twiddles(n, cols, sign): 16*rows*(cols/m + m) bytes, 524,288 at
     2^20 and 139,968 at 3^11, cached for the 8 most recent (n, sign).  An
-    apply allocates a work array of 16*rows*(cols + ROW_PAD) bytes in
-    place of pocketfft's length-n scratch.  ROWS_FROM is measured with
+    apply runs in a work array of 16*rows*(cols + ROW_PAD) bytes in place
+    of pocketfft's length-n scratch, and leaves it in _spare for the next
+    apply that fits in it.  ROWS_FROM is measured with
     fast_lct in fresh processes, 3 alternating rounds against one
     numpy.fft (2-core Xeon VM, numpy 2.4.6): the halves were slower at
     2^14, 2^15 and 3 * 2^15, level at 2^16, and faster in every round at
@@ -242,7 +246,7 @@ def _row_twiddles(n: int, sign: int) -> tuple[np.ndarray, np.ndarray] | None:
 def _row_dft(v: np.ndarray, out: np.ndarray, sign: int, twiddles: tuple) -> None:
     """out[:] = the DFT of v in natural order, by Bailey's four steps; out may be v.
 
-    Axis-0 ffts of the (rows, cols) view of v into a fresh work array, the
+    Axis-0 ffts of the (rows, cols) view of v into the work array, the
     twiddle product and the row ffts, then a transposed copy into out.  The
     work array's rows are ROW_PAD entries longer than cols, so that the
     axis-0 ffts and the copy do not read columns a power of two apart.  Each
@@ -252,7 +256,14 @@ def _row_dft(v: np.ndarray, out: np.ndarray, sign: int, twiddles: tuple) -> None
     rows, cols = coarse.shape[0], coarse.shape[1] * fine.shape[2]
     transform = fft if sign < 0 else partial(ifft, norm="forward")
     src = v.reshape(rows, cols)
-    grid = np.empty((rows, cols + ROW_PAD), dtype=complex)[:, :cols]
+    size = rows * (cols + ROW_PAD)
+    try:
+        work = _spare.pop()
+    except IndexError:  # none yet, or another apply holds it
+        work = None
+    if work is None or work.size < size:
+        work = np.empty(size, dtype=complex)
+    grid = work[:size].reshape(rows, cols + ROW_PAD)[:, :cols]
     dst = out.reshape(cols, rows)
 
     def columns(lo: int, hi: int) -> None:
@@ -275,28 +286,34 @@ def _row_dft(v: np.ndarray, out: np.ndarray, sign: int, twiddles: tuple) -> None
     _halves(cols, columns)  # reads all of v before out, which may be v, is written
     _halves(rows, twiddled_rows)
     _halves(cols, transposed)
+    _spare[:] = [work]
 
+
+# The row route's idle work array, which the next apply takes if it fits.  A
+# fresh one per apply, freed with fast_lct's values, left the top of the heap
+# large enough for malloc to return it to the system, and smaller transforms
+# later in the process faulted their memory in again.
+_spare: list[np.ndarray] = []
 
 _executor = None
-_executor_lock = threading.Lock()
+_busy = threading.Lock()  # held by the caller whose half the worker runs
 
 
 def _worker():
-    """The executor of the module's one worker thread, started on first use."""
+    """The executor of the module's one worker thread; call it holding _busy."""
     global _executor
-    with _executor_lock:
-        if _executor is None:
-            # Imported here: importing it at ``import xft`` costs every process
-            # ~0.4 MB of resident memory and ~7 ms.
-            from concurrent.futures import ThreadPoolExecutor
-            _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-fftcore")
-        return _executor
+    if _executor is None:
+        # Imported here: importing it at ``import xft`` costs every process
+        # ~0.4 MB of resident memory and ~7 ms.
+        from concurrent.futures import ThreadPoolExecutor
+        _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-fftcore")
+    return _executor
 
 
 def _forget_worker() -> None:
     # A forked child has no copy of the worker thread: start a new one there.
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
+    global _executor, _busy
+    _executor, _busy = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -304,25 +321,50 @@ if hasattr(os, "register_at_fork"):
 
 
 def _halves(count: int, stage) -> None:
-    """stage(count // 2, count) on the worker thread while stage(0, count // 2) runs here.
+    """stage(0, count // 2) here and stage(count // 2, count) on the worker thread.
 
     The split depends only on count, so the output bits do not depend on the
     host or on which thread runs a half.  The worker's half runs in a copy of
     the caller's context, so numpy's errstate, a context variable, holds
     there too; its exception is raised here once both halves have ended.
-    At interpreter exit, e.g. in an atexit function, both halves run here.
+    Both halves run here when the process may run on only one CPU, while
+    the worker runs another caller's half, at interpreter exit (e.g. in an
+    atexit function), and when the worker has not begun its half by the
+    time this thread ends its own, as when another process holds the second
+    core.
     """
     half = count // 2
-    try:
-        future = _worker().submit(contextvars.copy_context().run, stage, half, count)
-    except RuntimeError:  # at interpreter exit, where no thread takes new work
-        stage(half, count)
-        stage(0, half)
-        return
+    future = None
+    if _may_use_two_cpus() and _busy.acquire(blocking=False):
+        try:
+            future = _worker().submit(contextvars.copy_context().run, stage, half, count)
+        except RuntimeError:  # at interpreter exit, where no thread takes new work
+            _busy.release()
     try:
         stage(0, half)
     finally:
-        future.result()
+        if future is not None:
+            try:
+                if not future.cancel():  # the worker has begun its half
+                    future.result()
+            finally:
+                _busy.release()
+    if future is None or future.cancelled():
+        stage(half, count)
+
+
+def _may_use_two_cpus() -> bool:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _multiply(plan: DftPlan, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = x * y, in halves on two threads where the plan takes the row route."""
+    if plan.route == "rows":
+        _halves(plan.n, lambda lo, hi: np.multiply(x[lo:hi], y[lo:hi], out=out[lo:hi]))
+    else:
+        np.multiply(x, y, out=out)
 
 
 def plan_dft(n: int, direction_sign: int) -> DftPlan:

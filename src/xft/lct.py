@@ -31,7 +31,7 @@ from .errors import (
     ShapeError,
     UnsupportedBranchError,
 )
-from .fftcore import ROWS_FROM, DftPlan, _halves, apply_dft, plan_dft
+from .fftcore import DftPlan, _multiply, apply_dft, plan_dft
 from .hermite import HermiteGrid, asymptotic_zeros
 from .kernel import DFT_SIGN, boundary_phase, input_chirp, kernel_prefactor, output_chirp
 
@@ -218,17 +218,11 @@ def _chirp_dft_chirp(n: int, a: float, b: float, d: float,
     try:
         with np.errstate(over="raise", invalid="raise"):
             pre, post, y = _fused_factors(n, a, b, d)
-            if n < ROWS_FROM:
-                values = pre * samples
-                apply_dft(_cached_plan(n), values, out=values)
-                values *= post
-            else:  # both products in halves on two threads, as the DFT runs
-                values = np.empty(n, dtype=complex)
-                _halves(n, lambda lo, hi: np.multiply(pre[lo:hi], samples[lo:hi],
-                                                      out=values[lo:hi]))
-                apply_dft(_cached_plan(n), values, out=values)
-                _halves(n, lambda lo, hi: np.multiply(values[lo:hi], post[lo:hi],
-                                                      out=values[lo:hi]))
+            plan = _cached_plan(n)
+            values = np.empty(n, dtype=complex)
+            _multiply(plan, pre, samples, values)
+            apply_dft(plan, values, out=values)
+            _multiply(plan, values, post, values)
     except FloatingPointError as exc:
         raise ParameterError(f"the transform leaves the double range ({exc})") from None
     return values, y
@@ -249,9 +243,10 @@ def fast_lct(params: LctParams, signal: Signal) -> TransformResult:
     cached for the 8 most recent such keys, at 40*n bytes each (40 MiB at
     n = 2^20, so at most 320 MiB).  A repeat call costs one product, one
     DFT and one product; ``values`` is a fresh writable array on every
-    call, and ``output_nodes`` is the cached read-only y.  From n = 2^17
-    (fftcore.ROWS_FROM) both products and the DFT run in two halves, one on
-    the calling thread and one on fftcore's worker thread.
+    call, and ``output_nodes`` is the cached read-only y.  Where the DFT
+    takes fftcore's row route (from n = 2^17), both products and the DFT
+    run in two halves, one on the calling thread and one on fftcore's
+    worker thread.
     """
     if params.b == 0:
         raise DegenerateParameterError(

@@ -1,5 +1,6 @@
 """FFT engine: plan validation, naive-DFT oracle agreement, invariants."""
 import concurrent.futures
+import contextlib
 import os
 import signal
 import subprocess
@@ -239,21 +240,61 @@ class TestConcurrency:
         assert np.array_equal(results[0], seq[0])
         assert np.array_equal(results[1], seq[1])
 
-    def test_row_route_halves_inline_are_bit_identical(self, monkeypatch):
+    @pytest.mark.parametrize("inline", ["worker", "busy", "not_begun"])
+    def test_row_route_halves_inline_are_bit_identical(self, monkeypatch, inline):
         class Inline:
             def submit(self, fn, *args):
                 future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
+                if inline == "worker":  # the worker's half runs on the caller
+                    future.set_result(fn(*args))
+                return future  # else left pending, so the caller takes the half
 
         rng = np.random.default_rng(13)
         n = 3**11
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         plans = [plan_dft(n, sign) for sign in (1, -1)]
         threaded = [apply_dft(plan, v) for plan in plans]
-        monkeypatch.setattr(fftcore, "_worker", Inline)
-        for plan, ref in zip(plans, threaded):
-            assert np.array_equal(apply_dft(plan, v), ref)
+        with contextlib.ExitStack() as stack:
+            if inline == "busy":  # as while the worker runs another caller's half
+                stack.enter_context(fftcore._busy)
+            else:
+                monkeypatch.setattr(fftcore, "_worker", Inline)
+            for plan, ref in zip(plans, threaded):
+                assert np.array_equal(apply_dft(plan, v), ref)
+
+    @pytest.mark.parametrize("case", ["free", "busy", "one_cpu"])
+    def test_halves_take_the_worker_only_when_it_is_free(self, monkeypatch, case):
+        ran_on, begun = {}, threading.Event()
+
+        def stage(lo, hi):
+            ran_on[lo, hi] = threading.current_thread()
+            if lo:
+                begun.set()
+            else:  # give the worker time to begin its half, if it was handed it
+                begun.wait(timeout=60 if case == "free" else 0.5)
+
+        cpus = {0} if case == "one_cpu" else {0, 1}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        with contextlib.ExitStack() as stack:
+            if case == "busy":
+                stack.enter_context(fftcore._busy)
+            fftcore._halves(5, stage)
+        here = threading.current_thread()
+        assert ran_on[0, 2] is here
+        assert (ran_on[2, 5] is here) == (case != "free")
+
+    def test_row_route_reuses_its_work_array(self, monkeypatch):
+        # A smaller apply runs in the work array that a larger one left.
+        rng = np.random.default_rng(16)
+        n = 2**17
+        plan = plan_dft(n, -1)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        monkeypatch.setattr(fftcore, "_spare", [])
+        fresh = apply_dft(plan, v)
+        apply_dft(plan_dft(2 * n, 1), np.full(2 * n, 1e300 + 1e300j))
+        (work,) = fftcore._spare
+        assert np.array_equal(apply_dft(plan, v), fresh)
+        assert len(fftcore._spare) == 1 and fftcore._spare[0] is work
 
     def test_one_worker_for_racing_first_applies(self, monkeypatch):
         started = []
