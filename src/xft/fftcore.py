@@ -289,10 +289,10 @@ def _row_dft(v: np.ndarray, out: np.ndarray, sign: int, twiddles: tuple) -> None
     _spare[:] = [work]
 
 
-# The row route's idle work array, which the next apply takes if it fits.  A
-# fresh one per apply, freed with fast_lct's values, left the top of the heap
+# The row route's idle work array, which the next apply takes if it fits.
+# Freeing one per apply, beside fast_lct's values, leaves the top of the heap
 # large enough for malloc to return it to the system, and smaller transforms
-# later in the process faulted their memory in again.
+# later in the process then fault their memory in again.
 _spare: list[np.ndarray] = []
 
 _executor = None
