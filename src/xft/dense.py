@@ -110,12 +110,10 @@ def frft_matrix_asymptotic(n: int, order: FrftOrder) -> np.ndarray:
 def dense_lct_matrix(n: int, params: LctParams) -> np.ndarray:
     """Materialized LCT matrix L = diag(post) W diag(pre) on the asymptotic grid.
 
-    W is the plain DFT matrix with the calibrated sign, and pre and post are
-    the fused factor vectors fast_lct applies around its DFT: pre carries
-    exp(i a x_k^2/(2b)) and the boundary phase, post carries C(n), the
-    boundary phase and exp(i d y_j^2/(2b)) / sqrt(2*pi*i*b) with
-    y_j = 4 b x_j / pi.  Applying L to a sample vector reproduces fast_lct
-    up to rounding, arithmetic reordered.
+    W is the plain DFT matrix of sign DFT_SIGN, and pre and post are
+    fast_lct's cached factor vectors (defined in xft.kernel), so L applied
+    to a sample vector reproduces fast_lct up to rounding, arithmetic
+    reordered.
     """
     _require_dense_size(n)
     if params.b == 0:

@@ -1,42 +1,22 @@
 """Exact discrete Fourier transform of arbitrary length in O(N log N).
 
 Semantics: ``out[j] = sum_k exp(direction_sign * 2j*pi*j*k/n) * v[k]`` with no
-normalization.  Lengths run on ``numpy.fft`` (pocketfft): sign -1 is
-``fft(v)``, sign +1 is ``ifft(v, norm="forward")``, the unscaled inverse sum.
-A prime n >= 257 whose n - 1 has no prime factor above 5 (257, 769, 3457,
-12289, 65537, ...) runs instead as Rader's cyclic convolution of length n - 1
-(Proc. IEEE 1968): two 5-smooth forward FFTs, which from n - 1 = 14400 run
-as four-step transforms in rows of at most 4,096 points, so that no
-pocketfft scratch is large enough for the heap to return it to the system
-and fault it in again on the next call.  At n = 65537 one DFT takes ~3.2 ms
-warm, against ~4.4 ms with two whole length-65536 FFTs and ~10 ms for the
-one prime-length ``numpy.fft`` (numpy 2.4.6, 2-core Xeon VM).
+normalization.  A plan's route, chosen from n alone, names one of three engines:
 
-From n = 2^17 (ROWS_FROM), a length off Rader's route takes the row route
-when its largest divisor cols up to 4,096 leaves rows = n/cols of at most
-4,096: every power of two from 2^17 to 2^24 (256 x 4096 at 2^20), and
-3^11 as 81 x 2187.  The same four steps read v into a padded work array,
-and a transposed copy writes the result to ``out`` in natural order.  Each
-step runs in two halves fixed by n: the calling thread runs one while the
-module's one worker thread runs the other, so the route uses two cores.
-The worker is started on the first such transform (``concurrent.futures``
-is imported then, not at ``import xft``), runs its half in a copy of the
-caller's context (numpy's errstate included), and is started afresh in a
-forked child.  A caller runs both of its halves itself when the process
-may run on only one CPU, while the worker runs another caller's half, or
-when the worker has not begun the half by the time the caller ends its
-own.  At 2^20 a traced benchmark run times one DFT at ~19 ms, where the one
-in-place ``numpy.fft`` took 37-46 ms in runs alternated with it; below
-2^17 the halves were slower.
+- "rader": a prime n >= 257 whose n - 1 has no prime factor above 5 runs as
+  Rader's cyclic convolution of length n - 1 (Proc. IEEE 1968), two forward
+  5-smooth ffts against a cached kernel spectrum; see _rader_tables.
+- "rows": from n = ROWS_FROM, a length whose largest divisor cols up to
+  ROW_POINTS leaves rows = n/cols of at most ROW_POINTS runs as Bailey's four
+  steps in rows, each step in two halves on two threads; see _row_twiddles,
+  _row_dft and _halves.
+- "numpy": every other length is one ``numpy.fft`` (pocketfft) call.
 
-A plan is a validated (length, direction) record and holds no tables or
-scratch (the Rader tables are cached read-only, about 24*n bytes per
-(n, sign) for the 8 most recent, and the row route's twiddles likewise,
-512 KiB at 2^20; the module keeps the row route's last work array, 16.8 MB
-at 2^20, for the next apply it fits), so one plan may be applied
-concurrently from multiple threads.  Every apply returns a fresh array (or
-fills the caller's ``out``) and is deterministic (bit-identical output for
-identical input and plan, whichever thread runs a half).
+Each cutoff is measured; see README's cost table.  A plan is a validated
+(length, direction) record that holds no tables or scratch, so one plan may
+be applied concurrently from several threads.  Every apply returns a fresh
+array, or fills the caller's ``out``, and is deterministic: the output bits
+do not depend on the host or on which thread runs a half.
 """
 from __future__ import annotations
 
@@ -51,8 +31,8 @@ import numpy as np
 # first transform instead of at ``import xft`` would land in its latency.
 from numpy.fft import fft, ifft
 
-from .errors import InvalidSizeError, ParameterError, ShapeError
-from .hermite import _require_dense_size
+from .errors import ParameterError, ShapeError
+from .hermite import _require_dense_size, _require_size
 from .kernel import _cis
 
 __all__ = ["DftPlan", "plan_dft", "apply_dft", "dft_matrix", "naive_dft"]
@@ -68,16 +48,13 @@ class DftPlan:
     direction_sign : int
         +1 or -1, the sign of i*2*pi*j*k/n in the kernel exponent.
     route : str
-        The DFT engine: "rader" for the prime lengths of the Rader route,
-        "rows" for the long lengths of the row route, "numpy" for every
-        other length.
+        "rader", "rows" or "numpy": the engine that runs the plan.
     """
 
     __slots__ = ("n", "direction_sign", "route")
 
     def __init__(self, n: int, direction_sign: int):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidSizeError(f"transform length must be positive, got {n!r}")
+        _require_size(n)
         if direction_sign not in (1, -1):
             raise ParameterError(f"direction_sign must be +1 or -1, got {direction_sign!r}")
         self.n = int(n)
@@ -88,8 +65,8 @@ class DftPlan:
 
 
 # From n - 1 = SPLIT_FROM, Rader's route runs its ffts in rows of at most
-# ROW_POINTS points (see _rader_tables), and from n = ROWS_FROM so does every
-# other length that splits into at most ROW_POINTS such rows (see _row_dft).
+# ROW_POINTS points, and from n = ROWS_FROM so does every other length that
+# splits into at most ROW_POINTS such rows.
 ROW_POINTS = 4096
 SPLIT_FROM = 14400
 ROWS_FROM = 2**17
@@ -105,29 +82,20 @@ def _rader_tables(n: int, sign: int) -> tuple[np.ndarray, np.ndarray, tuple] | N
     The route takes a prime 257 <= n < 2^31 with 5-smooth n - 1; the search
     for g, the least primitive root, is Lucas's primality proof.  perm[q] =
     g^q mod n for q < n - 1; the spectrum is fft(w^(g^-q)) / (n - 1), w =
-    exp(sign * 2j*pi/n), at phases of at most pi.
+    exp(sign * 2j*pi/n).
 
-    Below n - 1 = SPLIT_FROM the route is one row: the spectrum has shape
-    (n - 1,), twiddles is (), and an apply makes two length-(n - 1) ffts.
-    From there each fft is Bailey's four-step ("FFTs in external or
-    hierarchical memory", J. Supercomputing 4, 1990) on a (rows, cols) view,
-    cols the largest divisor of n - 1 up to ROW_POINTS (16 x 4096 at 65537):
-    a 4,096-point row needs 64 KiB of pocketfft scratch, below glibc's
-    128 KiB mmap threshold, where the 1 MiB of a length-65536 fft was
-    faulted in again on every call (960 page faults per fast_lct).  The
-    first fft ends in transposed order, so the spectrum has shape (rows,
-    cols) with spectrum[r, c] at frequency r + rows*c, and the second takes
-    the same steps in reverse back to natural order; no transpose is
-    materialized.  twiddles = (coarse, fine) from _twiddles carry the
-    forward sign whatever ``sign`` is, since both ffts are forward.
+    Below n - 1 = SPLIT_FROM the spectrum has shape (n - 1,) and twiddles is
+    (): an apply makes two length-(n - 1) ffts.  From there each fft is
+    Bailey's four steps (J. Supercomputing 4, 1990) in rows of cols points,
+    cols the largest divisor of n - 1 up to ROW_POINTS, so that pocketfft's
+    scratch stays in the heap: the first fft leaves frequency r + rows*c at
+    [r, c], the spectrum of shape (rows, cols) is kept in that order, and the
+    second fft reverses the steps, so no transpose is materialized.
+    twiddles = _twiddles(n - 1, cols, -1) for both signs: both ffts are forward.
 
-    An entry holds 8*n bytes of the g^q table (perm is a view of it) and
-    16*(n - 1) of spectrum, plus 16*rows*(cols/m + m) of twiddles, m from
-    _twiddles: 1,572,872 + 32,768 bytes at 65537.  SPLIT_FROM is measured
-    with fast_lct (2-core Xeon VM, numpy 2.4.6): at 12289 one row took no
-    page faults a call and 3 rows were slower; at 14401 one row took 162
-    faults a call and 4 rows none and were faster, as were the splits at
-    15361, 18433, 40961 and 65537.
+    An entry holds 8*n bytes of g^q table (perm is a view of it), 16*(n - 1)
+    of spectrum and 16*rows*(cols/m + m) of twiddles, m from _twiddles; the
+    8 most recent (n, sign) are cached.
     """
     # Below 257 one numpy.fft call is as fast; from 2^31 the table products
     # would pass 2^62.  n - 1 < 2^31 divides 2^30 * 3^19 * 5^13 exactly when
@@ -148,10 +116,8 @@ def _rader_tables(n: int, sign: int) -> tuple[np.ndarray, np.ndarray, tuple] | N
     # w^(g^-q) with g^-q = g^(n-1-q); g^-(q+h) = -g^-q for h = (n-1)/2, so the
     # second half is the conjugate of the first.
     h = (n - 1) // 2
-    residues = table[n - 1:h:-1]
-    centred = np.where(2 * residues > n, residues - n, residues)
     kernel = np.empty(n - 1, dtype=complex)
-    kernel[:h] = _cis(centred * (sign * 2 * np.pi / n))
+    kernel[:h] = _roots(table[n - 1:h:-1], n, sign)
     np.conjugate(kernel[:h], out=kernel[h:])
     if n - 1 < SPLIT_FROM:
         spectrum, twiddles = fft(kernel, norm="forward"), ()
@@ -170,23 +136,26 @@ def _largest_divisor(total: int, limit: int) -> int:
     return int(d[total % d == 0][-1])
 
 
+def _roots(residues: np.ndarray, total: int, sign: int) -> np.ndarray:
+    """exp(sign*2j*pi*residues/total) for residues in [0, total), centred to phases <= pi."""
+    centred = np.where(2 * residues > total, residues - total, residues)
+    return _cis(centred * (sign * 2 * np.pi / total))
+
+
 def _twiddles(total: int, cols: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (coarse, fine) with coarse[r, i] * fine[r, j] = exp(sign*2j*pi*r*(i*m + j)/total).
 
     Shapes (rows, cols/m, 1) and (rows, 1, m), rows = total/cols and m the
     largest divisor of cols up to sqrt(cols): two small tables in place of
-    one of total entries, as boundary_phase builds its factor.  Each entry
-    is evaluated at its exact residue r*c < total, centred to at most pi.
+    one of total entries, each entry from its exact residue by _roots.
     """
     m = _largest_divisor(cols, math.isqrt(cols))
     r = np.arange(total // cols)[:, None, None]
-    tables = []
-    for residues in (r * np.arange(0, cols, m)[:, None], r * np.arange(m)):
-        centred = np.where(2 * residues > total, residues - total, residues)
-        table = _cis(centred * (sign * 2 * np.pi / total))
+    tables = tuple(_roots(residues, total, sign)
+                   for residues in (r * np.arange(0, cols, m)[:, None], r * np.arange(m)))
+    for table in tables:
         table.setflags(write=False)
-        tables.append(table)
-    return tuple(tables)
+    return tables
 
 
 def _twiddle(grid: np.ndarray, twiddles: tuple) -> None:
@@ -197,10 +166,7 @@ def _twiddle(grid: np.ndarray, twiddles: tuple) -> None:
 
 
 def _fft_to_transposed(grid: np.ndarray, twiddles: tuple) -> None:
-    """Forward DFT of grid.ravel() in place, frequency r + rows*c left at grid[r, c].
-
-    Axis-0 ffts, the twiddle product, then row ffts; with no twiddles, one fft.
-    """
+    """Forward DFT of grid.ravel() in place, frequency r + rows*c left at grid[r, c]."""
     if twiddles:
         fft(grid, axis=0, out=grid)
         _twiddle(grid, twiddles)
@@ -208,10 +174,7 @@ def _fft_to_transposed(grid: np.ndarray, twiddles: tuple) -> None:
 
 
 def _fft_from_transposed(grid: np.ndarray, twiddles: tuple) -> None:
-    """Forward DFT in place of the sequence held at grid[r, c] as entry r + rows*c.
-
-    The steps of _fft_to_transposed in reverse: the result is in natural order.
-    """
+    """Forward DFT in place, in natural order, of the entries r + rows*c held at grid[r, c]."""
     fft(grid, out=grid)
     if twiddles:
         _twiddle(grid, twiddles)
@@ -223,17 +186,10 @@ def _row_twiddles(n: int, sign: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Read-only twiddles of the row route at (n, sign), or None off it.
 
     The route takes n >= ROWS_FROM with cols, the largest divisor of n up
-    to ROW_POINTS, and rows = n/cols both at most ROW_POINTS (256 x 4096 at
-    2^20), so that every fft is at most 4,096 points long.  The twiddles
-    are _twiddles(n, cols, sign): 16*rows*(cols/m + m) bytes, 524,288 at
-    2^20 and 139,968 at 3^11, cached for the 8 most recent (n, sign).  An
-    apply runs in a work array of 16*rows*(cols + ROW_PAD) bytes in place
-    of pocketfft's length-n scratch, and leaves it in _spare for the next
-    apply that fits in it.  ROWS_FROM is measured with
-    fast_lct in fresh processes, 3 alternating rounds against one
-    numpy.fft (2-core Xeon VM, numpy 2.4.6): the halves were slower at
-    2^14, 2^15 and 3 * 2^15, level at 2^16, and faster in every round at
-    2^17, 3^11 and 2^18.
+    to ROW_POINTS, and rows = n/cols both at most ROW_POINTS, so that every
+    fft is at most ROW_POINTS long; below ROWS_FROM one numpy.fft call is
+    faster than the halves.  The twiddles are _twiddles(n, cols, sign),
+    16*rows*(cols/m + m) bytes, cached for the 8 most recent (n, sign).
     """
     if n < ROWS_FROM:
         return None
@@ -243,18 +199,24 @@ def _row_twiddles(n: int, sign: int) -> tuple[np.ndarray, np.ndarray] | None:
     return _twiddles(n, cols, sign)
 
 
+def _pocketfft(sign: int):
+    """numpy.fft's unnormalized DFT of kernel sign ``sign``: fft, or ifft scaled forward."""
+    return fft if sign < 0 else partial(ifft, norm="forward")
+
+
 def _row_dft(v: np.ndarray, out: np.ndarray, sign: int, twiddles: tuple) -> None:
     """out[:] = the DFT of v in natural order, by Bailey's four steps; out may be v.
 
     Axis-0 ffts of the (rows, cols) view of v into the work array, the
     twiddle product and the row ffts, then a transposed copy into out.  The
-    work array's rows are ROW_PAD entries longer than cols, so that the
+    work array, 16*rows*(cols + ROW_PAD) bytes, comes from and goes back to
+    _spare; its rows are ROW_PAD entries longer than cols, so that the
     axis-0 ffts and the copy do not read columns a power of two apart.  Each
     step is split in halves by _halves.
     """
     coarse, fine = twiddles
     rows, cols = coarse.shape[0], coarse.shape[1] * fine.shape[2]
-    transform = fft if sign < 0 else partial(ifft, norm="forward")
+    transform = _pocketfft(sign)
     src = v.reshape(rows, cols)
     size = rows * (cols + ROW_PAD)
     try:
@@ -272,8 +234,8 @@ def _row_dft(v: np.ndarray, out: np.ndarray, sign: int, twiddles: tuple) -> None
         transform(block, axis=0, out=block)
 
     def twiddled_rows(lo: int, hi: int) -> None:
-        # Eight rows at a time by one product of their two tables: _twiddle's
-        # products by each table, broadcast over padded rows, took 3x as long.
+        # Eight rows at a time by one product of their two tables, which
+        # measured faster than _twiddle's broadcast over padded rows.
         for r in range(lo, hi, 8):
             end = min(r + 8, hi)
             block = grid[r:end]
@@ -303,8 +265,8 @@ def _worker():
     """The executor of the module's one worker thread; call it holding _busy."""
     global _executor
     if _executor is None:
-        # Imported here: importing it at ``import xft`` costs every process
-        # ~0.4 MB of resident memory and ~7 ms.
+        # Imported here, so that a process that never takes the row route
+        # pays neither its import time nor its memory.
         from concurrent.futures import ThreadPoolExecutor
         _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="xft-fftcore")
     return _executor
@@ -325,13 +287,11 @@ def _halves(count: int, stage) -> None:
 
     The split depends only on count, so the output bits do not depend on the
     host or on which thread runs a half.  The worker's half runs in a copy of
-    the caller's context, so numpy's errstate, a context variable, holds
-    there too; its exception is raised here once both halves have ended.
-    Both halves run here when the process may run on only one CPU, while
-    the worker runs another caller's half, at interpreter exit (e.g. in an
-    atexit function), and when the worker has not begun its half by the
-    time this thread ends its own, as when another process holds the second
-    core.
+    the caller's context, so numpy's errstate holds there too, and its
+    exception is raised here once both halves have ended.  Both halves run
+    here when the process may run on one CPU only, while the worker runs
+    another caller's half, at interpreter exit (e.g. in an atexit function),
+    and when the worker has not begun its half by the time this one ends.
     """
     half = count // 2
     future = None
@@ -388,12 +348,10 @@ def apply_dft(plan: DftPlan, v, out: np.ndarray | None = None) -> np.ndarray:
                                 and out.dtype == np.complex128):
         raise ShapeError(f"out must be a complex128 array of shape ({plan.n},)")
     if plan.route == "numpy":
-        if plan.direction_sign < 0:
-            return fft(v, out=out)
-        return ifft(v, norm="forward", out=out)
+        return _pocketfft(plan.direction_sign)(v, out=out)
+    if out is None:
+        out = np.empty(plan.n, dtype=complex)
     if plan.route == "rows":
-        if out is None:
-            out = np.empty(plan.n, dtype=complex)
         _row_dft(v, out, plan.direction_sign, _row_twiddles(plan.n, plan.direction_sign))
         return out
     # out[g^p] - v[0] = sum_q v[g^q] w^(g^(p+q)), a cyclic correlation: a second
@@ -407,19 +365,13 @@ def apply_dft(plan: DftPlan, v, out: np.ndarray | None = None) -> np.ndarray:
     grid *= spectrum
     work[0] += head  # adds head to every output of the second fft
     _fft_from_transposed(grid, twiddles)
-    if out is None:
-        out = np.empty(plan.n, dtype=complex)
     out[perm] = work
     out[0] = total
     return out
 
 
 def dft_matrix(n: int, direction_sign: int) -> np.ndarray:
-    """Dense n x n kernel exp(direction_sign * 2j*pi*j*k/n) of the plain DFT.
-
-    Shares the dense guard, n <= MAX_DENSE_N; the matrix costs O(n^2) memory
-    and time.
-    """
+    """Dense n x n kernel exp(direction_sign * 2j*pi*j*k/n) of the plain DFT, n <= MAX_DENSE_N."""
     if direction_sign not in (1, -1):
         raise ParameterError(f"direction_sign must be +1 or -1, got {direction_sign!r}")
     _require_dense_size(n)

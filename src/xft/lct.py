@@ -175,12 +175,9 @@ def _mirrored(chirp, coef: float, b: float, nodes: np.ndarray) -> np.ndarray:
 def _fused_factors(
     n: int, a: float, b: float, d: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (pre, post, y) of the transform at (n, a, b, d).
+    """Read-only (pre, post, y) at (n, a, b, d), as xft.kernel defines them.
 
-    pre = p * exp(i a x^2/(2b)), post = C(n) * p * exp(i d y^2/(2b)) /
-    sqrt(2*pi*i*b) and y = 4 b x/pi, on the asymptotic grid x.  An entry
-    holds 40*n bytes.  fast_lct and dense_lct_matrix are both built from
-    pre and post.
+    Cached for the 8 most recent keys; an entry holds 40*n bytes.
     """
     x = asymptotic_zeros(n).nodes
     y = (4.0 * b / np.pi) * x
@@ -231,22 +228,16 @@ def _chirp_dft_chirp(n: int, a: float, b: float, d: float,
 def fast_lct(params: LctParams, signal: Signal) -> TransformResult:
     """Linear canonical transform of a sampled signal in O(n log n).
 
-    Steps: (1) values = pre * f, with pre_k = p_k * exp(i a x_k^2/(2b)),
-    (2) one length-n DFT with the calibrated kernel sign, in place,
-    (3) values *= post, with post_j = C(n) * p_j * exp(i d y_j^2/(2b)) /
-    sqrt(2*pi*i*b), where p and C(n) are the boundary phases and constant
-    of the scaled Fourier kernel.  Agrees with the dense reference matrix,
-    which is built from the same pre and post, to rounding error.  The
-    steps read a, b and d; c enters only through the unimodular check.
+    values = post * DFT(pre * f), the DFT of sign DFT_SIGN in place, with
+    pre, post and the output nodes y of xft.kernel's module docstring from
+    _fused_factors.  Agrees with dense_lct_matrix, which is built from the
+    same pre and post, to rounding error.  The steps read a, b and d; c
+    enters only through the unimodular check.
 
-    pre, post and the output nodes y depend only on (n, a, b, d) and are
-    cached for the 8 most recent such keys, at 40*n bytes each (40 MiB at
-    n = 2^20, so at most 320 MiB).  A repeat call costs one product, one
-    DFT and one product; ``values`` is a fresh writable array on every
-    call, and ``output_nodes`` is the cached read-only y.  Where the DFT
-    takes fftcore's row route (from n = 2^17), both products and the DFT
-    run in two halves, one on the calling thread and one on fftcore's
-    worker thread.
+    ``values`` is a fresh writable array on every call, and ``output_nodes``
+    is the cached read-only y.  Where the DFT takes fftcore's row route,
+    both products and the DFT run in two halves, one on the calling thread
+    and one on fftcore's worker thread.
     """
     if params.b == 0:
         raise DegenerateParameterError(
@@ -328,11 +319,13 @@ def lct_b_zero(params: LctParams, sampler, n: int) -> TransformResult:
 
 
 def chirp_phase_step(params: LctParams, grid: HermiteGrid) -> float:
-    """Aliasing diagnostic: max pre-chirp phase increment per grid step.
+    """Largest pre-chirp phase increment per grid step, in radians.
 
-    Returns max_k |a/(2b)| * |x_{k+1}^2 - x_k^2|.  Values approaching pi mean
-    the chirp exp(i a x^2/(2b)) is undersampled near the grid edge and the
-    result aliases; no hard limit is enforced.
+    Returns max_k |a/(2b)| * |x_{k+1}^2 - x_k^2|: how coarsely the grid
+    samples the chirp exp(i a x^2/(2b)) at its edge.  It is not a verdict on
+    the result, whose accuracy depends on the signal as well: results with
+    values far above pi can be exact to rounding, and results with smaller
+    values can alias (measured; see README).  No limit is enforced.
     """
     if params.b == 0:
         raise DegenerateParameterError("no chirp for b = 0")

@@ -1,9 +1,11 @@
 """Fast transform path: equivalence with the dense oracle and special cases."""
+import ast
 import dataclasses
 import importlib
 import inspect
 import math
 import pkgutil
+import re
 import sys
 import threading
 import warnings
@@ -572,6 +574,22 @@ class TestAliasingDiagnostic:
         sq = grid.nodes ** 2
         assert chirp_phase_step(params, grid) == pytest.approx(
             np.max(np.abs(np.diff(sq))), rel=1e-14)
+
+
+def test_docstrings_give_no_durations():
+    # Timings go stale with the host and numpy: they belong in README's cost
+    # table, CHANGES and the BENCH files, not in a docstring.
+    duration = re.compile(r"\d\s*(?:ms|µs|us|ns)\b")
+    found = []
+    modules = [xft] + [importlib.import_module(f"xft.{info.name}")
+                       for info in pkgutil.iter_modules(xft.__path__)]
+    for module in modules:
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                found += [f"{module.__name__}:{getattr(node, 'name', '<module>')}: {match.group()!r}"
+                          for match in duration.finditer(doc)]
+    assert found == []
 
 
 def test_public_names_resolve_and_removed_paths_stay_gone():
