@@ -85,13 +85,14 @@ def _rader_tables(n: int, sign: int) -> tuple[np.ndarray, np.ndarray, tuple] | N
     exp(sign * 2j*pi/n).
 
     Below n - 1 = SPLIT_FROM the spectrum has shape (n - 1,) and twiddles is
-    (): an apply makes two length-(n - 1) ffts.  From there each fft is
-    Bailey's four steps (J. Supercomputing 4, 1990) in rows of cols points,
-    cols the largest divisor of n - 1 up to ROW_POINTS, so that pocketfft's
-    scratch stays in the heap: the first fft leaves frequency r + rows*c at
-    [r, c], the spectrum of shape (rows, cols) is kept in that order, and the
-    second fft reverses the steps, so no transpose is materialized.
-    twiddles = _twiddles(n - 1, cols, -1) for both signs: both ffts are forward.
+    (): an apply makes two length-(n - 1) ffts.  From there, where one fft's
+    pocketfft scratch is faulted in again on every call (measured; see
+    README's cost table), each fft is Bailey's four steps (J. Supercomputing
+    4, 1990) in rows of cols points, cols the largest divisor of n - 1 up to
+    ROW_POINTS: the first fft leaves frequency r + rows*c at [r, c], the
+    spectrum of shape (rows, cols) is kept in that order, and the second fft
+    reverses the steps, so no transpose is materialized.  twiddles =
+    _twiddles(n - 1, cols, -1) for both signs: both ffts are forward.
 
     An entry holds 8*n bytes of g^q table (perm is a view of it), 16*(n - 1)
     of spectrum and 16*rows*(cols/m + m) of twiddles, m from _twiddles; the
@@ -188,8 +189,9 @@ def _row_twiddles(n: int, sign: int) -> tuple[np.ndarray, np.ndarray] | None:
     The route takes n >= ROWS_FROM with cols, the largest divisor of n up
     to ROW_POINTS, and rows = n/cols both at most ROW_POINTS, so that every
     fft is at most ROW_POINTS long; below ROWS_FROM one numpy.fft call is
-    faster than the halves.  The twiddles are _twiddles(n, cols, sign),
-    16*rows*(cols/m + m) bytes, cached for the 8 most recent (n, sign).
+    faster than the halves (measured; see README's cost table).  The
+    twiddles are _twiddles(n, cols, sign), 16*rows*(cols/m + m) bytes,
+    cached for the 8 most recent (n, sign).
     """
     if n < ROWS_FROM:
         return None

@@ -228,11 +228,12 @@ def _chirp_dft_chirp(n: int, a: float, b: float, d: float,
 def fast_lct(params: LctParams, signal: Signal) -> TransformResult:
     """Linear canonical transform of a sampled signal in O(n log n).
 
-    values = post * DFT(pre * f), the DFT of sign DFT_SIGN in place, with
-    pre, post and the output nodes y of xft.kernel's module docstring from
-    _fused_factors.  Agrees with dense_lct_matrix, which is built from the
-    same pre and post, to rounding error.  The steps read a, b and d; c
-    enters only through the unimodular check.
+    values = post * DFT(pre * f), one in-place DFT of sign DFT_SIGN between
+    two products.  pre, post and the output nodes y are defined in
+    xft.kernel's module docstring and cached by _fused_factors.  Agrees with
+    dense_lct_matrix, which is built from the same pre and post, to
+    rounding error.  The steps read a, b and d; c enters only through the
+    unimodular check.
 
     ``values`` is a fresh writable array on every call, and ``output_nodes``
     is the cached read-only y.  Where the DFT takes fftcore's row route,
