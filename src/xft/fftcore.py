@@ -5,18 +5,18 @@ normalization.  A plan's route, chosen from n alone, names one of three engines:
 
 - "rader": a prime n >= 257 whose n - 1 has no prime factor above 5 runs as
   Rader's cyclic convolution of length n - 1 (Proc. IEEE 1968), two forward
-  5-smooth ffts against a cached kernel spectrum; see _rader_tables.
+  5-smooth ffts against a precomputed kernel spectrum; see _rader_tables.
 - "rows": from n = ROWS_FROM, a length whose largest divisor cols up to
   ROW_POINTS leaves rows = n/cols of at most ROW_POINTS runs as Bailey's four
   steps in rows, each step in two halves on two threads; see _row_twiddles,
   _row_dft and _halves.
 - "numpy": every other length is one ``numpy.fft`` (pocketfft) call.
 
-Each cutoff is measured; see README's cost table.  A plan is a validated
-(length, direction) record that holds no tables or scratch, so one plan may
-be applied concurrently from several threads.  Every apply returns a fresh
-array, or fills the caller's ``out``, and is deterministic: the output bits
-do not depend on the host or on which thread runs a half.
+Each cutoff is measured; see README's cost table.  A plan holds its route's
+read-only tables, built when it is made: plan once and apply many, from
+several threads at once.  The module caches nothing.  Every apply returns a
+fresh array, or fills the caller's ``out``, and is deterministic: the output
+bits do not depend on the host or on which thread runs a half.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import contextvars
 import math
 import os
 import threading
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 # Imported eagerly: numpy loads numpy.fft lazily, and paying that load on the
@@ -38,8 +38,13 @@ from .kernel import _cis
 __all__ = ["DftPlan", "plan_dft", "apply_dft", "dft_matrix", "naive_dft"]
 
 
+def _require_sign(direction_sign) -> None:
+    if direction_sign not in (1, -1):
+        raise ParameterError(f"direction_sign must be +1 or -1, got {direction_sign!r}")
+
+
 class DftPlan:
-    """Validated transform parameters for one (length, direction) pair.
+    """Validated parameters for one (length, direction) pair, and its route's tables.
 
     Attributes
     ----------
@@ -48,20 +53,20 @@ class DftPlan:
     direction_sign : int
         +1 or -1, the sign of i*2*pi*j*k/n in the kernel exponent.
     route : str
-        "rader", "rows" or "numpy": the engine that runs the plan.
+        "rader", "rows" or "numpy": the engine that runs the plan, with
+        the tables _rader_tables or _row_twiddles builds here (none on "numpy").
     """
 
-    __slots__ = ("n", "direction_sign", "route")
+    __slots__ = ("n", "direction_sign", "route", "_tables")
 
     def __init__(self, n: int, direction_sign: int):
         _require_size(n)
-        if direction_sign not in (1, -1):
-            raise ParameterError(f"direction_sign must be +1 or -1, got {direction_sign!r}")
+        _require_sign(direction_sign)
         self.n = int(n)
         self.direction_sign = int(direction_sign)
-        self.route = ("rader" if _rader_tables(self.n, self.direction_sign) is not None
-                      else "rows" if _row_twiddles(self.n, self.direction_sign) is not None
-                      else "numpy")
+        rader = _rader_tables(self.n, self.direction_sign)
+        self._tables = rader or _row_twiddles(self.n, self.direction_sign)
+        self.route = "rader" if rader else "numpy" if self._tables is None else "rows"
 
 
 # From n - 1 = SPLIT_FROM, Rader's route runs its ffts in rows of at most
@@ -75,7 +80,6 @@ ROWS_FROM = 2**17
 ROW_PAD = 4
 
 
-@lru_cache(maxsize=8)
 def _rader_tables(n: int, sign: int) -> tuple[np.ndarray, np.ndarray, tuple] | None:
     """Read-only (perm, spectrum, twiddles) of Rader's route at (n, sign), or None off it.
 
@@ -94,9 +98,8 @@ def _rader_tables(n: int, sign: int) -> tuple[np.ndarray, np.ndarray, tuple] | N
     reverses the steps, so no transpose is materialized.  twiddles =
     _twiddles(n - 1, cols, -1) for both signs: both ffts are forward.
 
-    An entry holds 8*n bytes of g^q table (perm is a view of it), 16*(n - 1)
-    of spectrum and 16*rows*(cols/m + m) of twiddles, m from _twiddles; the
-    8 most recent (n, sign) are cached.
+    The tables hold 8*n bytes of g^q (perm is a view of it), 16*(n - 1) of
+    spectrum and 16*rows*(cols/m + m) of twiddles, m from _twiddles.
     """
     # Below 257 one numpy.fft call is as fast; from 2^31 the table products
     # would pass 2^62.  n - 1 < 2^31 divides 2^30 * 3^19 * 5^13 exactly when
@@ -182,7 +185,6 @@ def _fft_from_transposed(grid: np.ndarray, twiddles: tuple) -> None:
         fft(grid, axis=0, out=grid)
 
 
-@lru_cache(maxsize=8)
 def _row_twiddles(n: int, sign: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Read-only twiddles of the row route at (n, sign), or None off it.
 
@@ -190,8 +192,7 @@ def _row_twiddles(n: int, sign: int) -> tuple[np.ndarray, np.ndarray] | None:
     to ROW_POINTS, and rows = n/cols both at most ROW_POINTS, so that every
     fft is at most ROW_POINTS long; below ROWS_FROM one numpy.fft call is
     faster than the halves (measured; see README's cost table).  The
-    twiddles are _twiddles(n, cols, sign), 16*rows*(cols/m + m) bytes,
-    cached for the 8 most recent (n, sign).
+    twiddles are _twiddles(n, cols, sign), 16*rows*(cols/m + m) bytes.
     """
     if n < ROWS_FROM:
         return None
@@ -354,11 +355,11 @@ def apply_dft(plan: DftPlan, v, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty(plan.n, dtype=complex)
     if plan.route == "rows":
-        _row_dft(v, out, plan.direction_sign, _row_twiddles(plan.n, plan.direction_sign))
+        _row_dft(v, out, plan.direction_sign, plan._tables)
         return out
     # out[g^p] - v[0] = sum_q v[g^q] w^(g^(p+q)), a cyclic correlation: a second
     # forward fft, not an ifft, reads it out at p, so the scatter reuses perm.
-    perm, spectrum, twiddles = _rader_tables(plan.n, plan.direction_sign)
+    perm, spectrum, twiddles = plan._tables
     head = v[0]  # read before out, which may be v, is written
     work = v[perm]
     grid = work.reshape(spectrum.shape)  # a view: frequency 0 stays at work[0]
@@ -374,8 +375,7 @@ def apply_dft(plan: DftPlan, v, out: np.ndarray | None = None) -> np.ndarray:
 
 def dft_matrix(n: int, direction_sign: int) -> np.ndarray:
     """Dense n x n kernel exp(direction_sign * 2j*pi*j*k/n) of the plain DFT, n <= MAX_DENSE_N."""
-    if direction_sign not in (1, -1):
-        raise ParameterError(f"direction_sign must be +1 or -1, got {direction_sign!r}")
+    _require_sign(direction_sign)
     _require_dense_size(n)
     j = np.arange(n, dtype=np.int64)
     return np.exp(direction_sign * 2j * np.pi * (np.outer(j, j) % n) / n)

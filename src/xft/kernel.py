@@ -22,17 +22,16 @@ reversed), only -1 reproduces the transform's defining integral, whose cross
 term is exp(-i*x*y/b).  Calibrated once against the direct-quadrature oracle;
 a regression test pins the choice.
 
-``xft.lct`` caches pre, post and y per (n, a, b, d), and both ``fast_lct``
-and ``dense_lct_matrix`` are built from them, so they agree to rounding
-error by construction.  Phases stay accurate at large n: C(n) reduces its
-integer phase argument modulo the period before multiplying by pi/n, and p
-is assembled from phases of at most about pi.
+``xft.lct`` caches p per n and pre, post and y per (n, a, b, d), and both
+``fast_lct`` and ``dense_lct_matrix`` are built from them, so they agree to
+rounding error by construction.  Phases stay accurate at large n: C(n)
+reduces its integer phase argument modulo the period before multiplying by
+pi/n, and p is assembled from phases of at most about pi.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,9 +66,8 @@ def _cis(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
 def boundary_phase(n: int) -> np.ndarray:
-    """The boundary phase p, read-only, cached for the 32 most recent n.
+    """The boundary phase p, as a fresh read-only array.
 
     p[k] = (-1)^k * w^k with w = exp(DFT_SIGN * 1j*pi/n).  Writing k = i*m + j
     with m = ceil(sqrt(n)), w^k is the product of w^(i*m) and w^j: two
@@ -95,10 +93,6 @@ def input_chirp(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 def output_chirp(d: float, b: float, y: np.ndarray) -> np.ndarray:
     """Post-multiplication factor exp(i*d*y^2/(2b)) / sqrt(2*pi*i*b)."""
-    if b == 0:
-        raise ParameterError("chirp undefined for b = 0")
-    phase = np.square(y)
-    phase *= 0.5 * d / b
-    chirp = _cis(phase)
+    chirp = input_chirp(d, b, y)
     chirp /= np.sqrt(2j * np.pi * b)
     return chirp

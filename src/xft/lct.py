@@ -13,8 +13,8 @@ input grid.  Fourier, fractional Fourier and Fresnel transforms are
 parameter special cases.
 
 All operations are pure; results are frozen records whose values are fresh
-arrays; independent transforms may run fully in parallel (the factor cache
-holds read-only arrays).
+arrays; independent transforms may run fully in parallel (the caches hold
+read-only arrays).
 """
 from __future__ import annotations
 
@@ -155,9 +155,13 @@ class TransformResult:
     n: int
 
 
-@lru_cache(maxsize=32)
-def _cached_plan(n: int) -> DftPlan:
-    return plan_dft(n, DFT_SIGN)
+@lru_cache(maxsize=8)
+def _length_setup(n: int) -> tuple[DftPlan, np.ndarray]:
+    """(plan_dft(n, DFT_SIGN), boundary_phase(n)), cached for the 8 most recent n.
+
+    An entry holds the plan's tables and 16*n bytes of p.
+    """
+    return plan_dft(n, DFT_SIGN), boundary_phase(n)
 
 
 def _mirrored(chirp, coef: float, b: float, nodes: np.ndarray) -> np.ndarray:
@@ -181,7 +185,7 @@ def _fused_factors(
     """
     x = asymptotic_zeros(n).nodes
     y = (4.0 * b / np.pi) * x
-    p = boundary_phase(n)
+    _, p = _length_setup(n)
     pre = _mirrored(input_chirp, a, b, x)
     pre *= p
     post = _mirrored(output_chirp, d, b, y)
@@ -215,7 +219,7 @@ def _chirp_dft_chirp(n: int, a: float, b: float, d: float,
     try:
         with np.errstate(over="raise", invalid="raise"):
             pre, post, y = _fused_factors(n, a, b, d)
-            plan = _cached_plan(n)
+            plan, _ = _length_setup(n)
             values = np.empty(n, dtype=complex)
             _multiply(plan, pre, samples, values)
             apply_dft(plan, values, out=values)
@@ -230,7 +234,8 @@ def fast_lct(params: LctParams, signal: Signal) -> TransformResult:
 
     values = post * DFT(pre * f), one in-place DFT of sign DFT_SIGN between
     two products.  pre, post and the output nodes y are defined in
-    xft.kernel's module docstring and cached by _fused_factors.  Agrees with
+    xft.kernel's module docstring and cached by _fused_factors; the plan
+    and p are cached per length by _length_setup.  Agrees with
     dense_lct_matrix, which is built from the same pre and post, to
     rounding error.  The steps read a, b and d; c enters only through the
     unimodular check.

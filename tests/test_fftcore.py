@@ -20,7 +20,7 @@ from xft import (
     plan_dft,
 )
 from xft.dense import MAX_DENSE_N
-from xft import fftcore
+from xft import fftcore, kernel
 from xft.fftcore import _rader_tables, dft_matrix
 
 
@@ -43,6 +43,26 @@ class TestPlanning:
                 assert plan_dft(n, sign).route == "numpy"
             for n in (2**17, 3**11, 2**20):
                 assert plan_dft(n, sign).route == "rows"
+
+    def test_plans_hold_their_tables(self, monkeypatch):
+        # A plan builds its route's tables once; applying it builds nothing,
+        # and neither fftcore nor kernel keeps a cache of its own.
+        rng = np.random.default_rng(19)
+        plans = [plan_dft(n, sign) for n in (769, 65537, 2**17) for sign in (1, -1)]
+        assert [p.route for p in plans] == ["rader"] * 4 + ["rows"] * 2
+        inputs = [rng.normal(size=p.n) + 1j * rng.normal(size=p.n) for p in plans]
+        before = [apply_dft(p, v) for p, v in zip(plans, inputs)]
+
+        def rebuilt(*args):
+            raise AssertionError(f"tables built again at apply for {args}")
+
+        monkeypatch.setattr(fftcore, "_rader_tables", rebuilt)
+        monkeypatch.setattr(fftcore, "_row_twiddles", rebuilt)
+        for plan, v, ref in zip(plans, inputs, before):
+            assert np.array_equal(apply_dft(plan, v), ref)
+        for module in (fftcore, kernel):
+            assert [name for name, value in vars(module).items()
+                    if hasattr(value, "cache_info")] == []
 
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidSizeError):
