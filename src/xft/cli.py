@@ -179,14 +179,8 @@ def _oracle_values(args, signal, g, result):
     # quadrature: argparse's choices= admit no other oracle
     if g is None:
         raise ParameterError("quadrature oracle needs a callable builtin input")
-    try:
-        if args.oracle_radius is None:
-            cfg = QuadratureConfig.for_gaussian(g, tol=args.oracle_tol)
-        else:
-            cfg = QuadratureConfig(radius=args.oracle_radius, tol=args.oracle_tol)
-    except ParameterError as exc:
-        raise _UsageError(f"bad quadrature setting: {exc}") from exc
-    return direct_quadrature_lct(params, g.evaluate, result.output_nodes, cfg)
+    return direct_quadrature_lct(params, g.evaluate, result.output_nodes,
+                                 QuadratureConfig.for_gaussian(g))
 
 
 def _cmd_compare(args) -> int:
@@ -277,10 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(c)
     c.add_argument("--oracle", default="closed-form",
                    choices=["closed-form", "quadrature", "dense"])
-    c.add_argument("--oracle-radius", type=float, default=None,
-                   help="quadrature truncation radius (default 12/sqrt(alpha))")
-    c.add_argument("--oracle-tol", type=float, default=1e-10,
-                   help="quadrature self-consistency tolerance")
     c.add_argument("--max-abs", type=float, default=None,
                    help="fail (exit 5) if max-abs error exceeds this")
     c.add_argument("--rms", type=float, default=None)

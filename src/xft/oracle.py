@@ -97,9 +97,10 @@ class QuadratureConfig:
                 raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
     @classmethod
-    def for_gaussian(cls, g: GaussianParams, **kwargs) -> "QuadratureConfig":
-        """Radius 12/sqrt(alpha), far below the 1e-18 decay level."""
-        return cls(radius=12.0 / math.sqrt(g.alpha), **kwargs)
+    def for_gaussian(cls, g: GaussianParams) -> "QuadratureConfig":
+        """Radius |beta|/alpha + 12/sqrt(alpha): the centre -beta/alpha plus 12
+        widths, where g has fallen by exp(-144) from its peak."""
+        return cls(radius=abs(g.beta) / g.alpha + 12.0 / math.sqrt(g.alpha))
 
 
 def gaussian_sample(g: GaussianParams, grid: HermiteGrid) -> Signal:
