@@ -182,6 +182,28 @@ class TestTransform:
         assert main(["transform", "--n", "1", "--preset", "fourier",
                      "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize("spec,message", [
+        (["--params", "1,2,x,4", "--function", "gaussian:1,0,0"],
+         "bad --params '1,2,x,4': expected 4 comma-separated"),
+        (["--params", "1,2,0.5", "--function", "gaussian:1,0,0"],
+         "bad --params '1,2,0.5': expected 4 comma-separated"),
+        (["--preset", "fourier:1", "--function", "gaussian:1,0,0"],
+         "preset fourier takes no argument"),
+        (["--preset", "hankel:1", "--function", "gaussian:1,0,0"], "unknown preset 'hankel'"),
+        (["--preset", "fourier", "--function", "lorentzian:1"],
+         "unknown builtin function 'lorentzian'"),
+        (["--preset", "fourier", "--input", "{tmp}/y.csv"],
+         "{tmp}/y.csv: expected header 'x,re,im', got 'y,re,im'"),
+        (["--preset", "fourier", "--input", "{tmp}/missing.csv"], "cannot read {tmp}/missing.csv"),
+    ], ids=["non-numeric-params", "three-params", "fourier-argument", "unknown-preset",
+            "unknown-function", "csv-header", "unreadable-input"])
+    def test_malformed_request_exits_2(self, tmp_path, spec, message, capsys):
+        grid_csv(tmp_path / "y.csv", 4, header="y,re,im")
+        assert main(["transform", "--n", "4", *(arg.format(tmp=tmp_path) for arg in spec)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: " + message.format(tmp=tmp_path))
+        assert err.count("\n") == 1
+
     def test_csv_header_spaces_and_blank_lines_accepted(self, tmp_path, capsys):
         plain = grid_csv(tmp_path / "plain.csv", 8)
         loose = grid_csv(tmp_path / "loose.csv", 8, header=" x , re , im ", sep="\n \n\n")
@@ -359,19 +381,28 @@ class TestCompare:
         assert rc == 5
 
     def test_quadrature_oracle(self, tmp_path, capsys):
-        rc = main(["compare", "--n", "64", "--params", "1,2,0.5,2",
-                   "--function", "gaussian:1,2,3", "--oracle", "quadrature",
-                   "--oracle-tol", "1e-10",
-                   "--max-abs", "1e-9", "--output", str(tmp_path / "e.csv")])
-        assert rc == 0
+        for n, function, max_abs in [
+            ("64", "gaussian:1,2,3", "1e-9"),
+            # centred at -beta/alpha = -5: a window of 12/sqrt(alpha) = 6 about 0 truncates it
+            ("512", "gaussian:4,20,100", "1e-12"),
+        ]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")  # a shown warning would reach stderr
+                rc = main(["compare", "--n", n, "--params", "1,2,0.5,2",
+                           "--function", function, "--oracle", "quadrature",
+                           "--max-abs", max_abs, "--output", str(tmp_path / "e.csv")])
+            assert rc == 0
+            assert caught == [] and capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flag", ["--oracle-radius", "--oracle-tol"])
-    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    def test_bad_quadrature_setting_exits_2(self, tmp_path, flag, value):
-        rc = main(["compare", "--n", "16", "--preset", "fourier",
-                   "--function", "gaussian:1,0,0", "--oracle", "quadrature",
-                   flag, value, "--output", str(tmp_path / "e.csv")])
-        assert rc == 2
+    def test_quadrature_settings_are_not_options(self, flag, capsys):
+        # for_gaussian works the window out from the Gaussian itself
+        assert main(["compare", "--n", "16", "--preset", "fourier",
+                     "--function", "gaussian:1,0,0", "--oracle", "quadrature",
+                     flag, "12"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert main(["compare", "--help"]) == 0
+        assert flag not in capsys.readouterr().out
 
     def test_inverse_round_trip(self, tmp_path, capsys):
         rc = main(["compare", "--n", "256", "--params", "1,2,0.5,2",
@@ -401,15 +432,21 @@ class TestCompare:
         assert out == "" and err.startswith("error: the closed form for ")
         assert err.endswith("leaves the double range\n") and err.count("\n") == 1
 
-    def test_csv_input_needs_compatible_oracle(self, tmp_path):
+    def test_b_zero_exits_3(self, capsys):
+        assert main(["compare", "--n", "8", "--params", "1,0,0,1",
+                     "--function", "gaussian:1,0,0"]) == 3
+        assert capsys.readouterr() == ("", "error: compare requires b != 0\n")
+
+    def test_csv_input_needs_compatible_oracle(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         main(["transform", "--n", "8", "--params", f"1,{math.pi/4!r},0,1",
               "--function", "gaussian:1,0,0", "--output", str(src)])
         body = src.read_text(encoding="utf-8").replace("y,re,im", "x,re,im")
         src.write_text(body, encoding="utf-8")
-        rc = main(["compare", "--n", "8", "--preset", "fourier",
-                   "--input", str(src), "--oracle", "closed-form"])
-        assert rc == 3
+        for oracle in ("closed-form", "quadrature"):
+            assert main(["compare", "--n", "8", "--preset", "fourier",
+                         "--input", str(src), "--oracle", oracle]) == 3
+            assert capsys.readouterr().err.startswith(f"error: {oracle} oracle needs a ")
 
 
 class TestBench:
@@ -454,6 +491,12 @@ class TestBench:
     def test_repeats_below_one_exits_2(self, repeats, capsys):
         assert main(["bench", "--sizes", "16", "--repeats", repeats]) == 2
         assert "--repeats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes,message", [("8,x", "bad --sizes: "),
+                                               (",", "--sizes is empty")])
+    def test_bad_sizes_exit_2(self, sizes, message, capsys):
+        assert main(["bench", "--sizes", sizes, "--repeats", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: " + message)
 
 
 def run_module(*args):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xft import (
+    HermiteGrid,
     InvalidSizeError,
     asymptotic_zeros,
     exact_hermite_zeros,
@@ -65,6 +66,11 @@ class TestAsymptoticZeros:
         asymptotic_zeros(3)
         with pytest.raises(InvalidSizeError):
             asymptotic_zeros(3.0)
+
+    @pytest.mark.parametrize("n,nodes", [(0, []), (-1, []), (3, [0.0, 1.0])])
+    def test_grid_rejects_bad_node_count(self, n, nodes):
+        with pytest.raises(InvalidSizeError):
+            HermiteGrid(n, np.array(nodes), 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 101, 512])
     def test_grid_invariants(self, n):
@@ -183,9 +189,11 @@ class TestHermiteFunctionRow:
         assert norm == pytest.approx(oracle_norm, rel=1e-13)
 
     def test_row_values_against_extended_precision(self):
-        row = hermite_function_row(32, 1.75)
-        oracle = [float(v) for v in decimal_psi_row(32, "1.75")]
-        assert row == pytest.approx(oracle, rel=1e-12, abs=1e-300)
+        for n_max, x in ((32, "1.75"), (1, "1.5")):
+            row = hermite_function_row(n_max, float(x))
+            oracle = [float(v) for v in decimal_psi_row(n_max, x)]
+            assert row.shape == (n_max,)
+            assert row == pytest.approx(oracle, rel=1e-12, abs=1e-300)
 
     def test_finite_at_extreme_arguments(self):
         row = hermite_function_row(4096, 200.0)

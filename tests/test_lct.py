@@ -330,6 +330,12 @@ class TestFactorCache:
         assert np.max(np.abs(boundary_phase(n) - direct)) <= 2e-15
         assert not boundary_phase(n).flags.writeable
 
+    def test_chirps_reject_b_zero(self):
+        x = asymptotic_zeros(8).nodes
+        for chirp in (input_chirp, output_chirp):
+            with pytest.raises(ParameterError, match="b = 0"):
+                chirp(1.0, 0.0, x)
+
     def test_concurrent_transforms_match_sequential(self):
         # More parameter sets than cache entries, so threads evict each
         # other's factors while they run.
@@ -559,6 +565,12 @@ class TestBZeroBranch:
         with pytest.raises(ShapeError):
             lct_b_zero(LctParams(1.0, 0.0, 0.0, 1.0), lambda x: x[:-1], 8)
 
+    def test_rejects_non_callable_sampler(self):
+        # the branch resamples f off-grid, so samples cannot stand in for it
+        samples = gaussian_sample(GaussianParams(1.0, 0.0, 0.0), asymptotic_zeros(8))
+        with pytest.raises(ParameterError, match="callable"):
+            lct_b_zero(LctParams(1.0, 0.0, 0.0, 1.0), samples, 8)
+
 
 class TestAliasingDiagnostic:
     def test_scales_with_chirp_rate(self):
@@ -567,6 +579,11 @@ class TestAliasingDiagnostic:
         harsh = chirp_phase_step(LctParams(10.0, 0.1, 0.0, 0.1), grid)
         assert harsh > mild > 0
         assert harsh == pytest.approx(mild * 1000, rel=1e-12)
+
+    def test_b_zero_and_one_node(self):
+        with pytest.raises(DegenerateParameterError):
+            chirp_phase_step(LctParams(1.0, 0.0, 0.0, 1.0), asymptotic_zeros(8))
+        assert chirp_phase_step(LctParams(10.0, 0.1, 0.0, 0.1), asymptotic_zeros(1)) == 0.0
 
     def test_matches_hand_value(self):
         grid = asymptotic_zeros(8)
@@ -616,3 +633,4 @@ def test_public_names_resolve_and_removed_paths_stay_gone():
     for removed in ("_inverse_roundtrip", "_build_input", "_print_expected_grid"):
         assert not hasattr(cli, removed)
     assert [f.name for f in dataclasses.fields(QuadratureConfig)] == ["radius", "tol"]
+    assert list(inspect.signature(QuadratureConfig.for_gaussian).parameters) == ["g"]

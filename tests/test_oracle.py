@@ -26,6 +26,9 @@ from xft import (
 
 FIG1 = (GaussianParams(1.0, 2.0, 3.0), LctParams(1.0, 2.0, 0.5, 2.0))
 FIG2 = (GaussianParams(2.0, 1.0, 3.0), LctParams(1.0, 100.0, 0.0, 1.0))
+# Centred at -beta/alpha = -5 with width 1/sqrt(alpha) = 0.5: a window of 12
+# widths about 0, [-6, 6], cuts it 2 widths from its centre.
+OFF_CENTRE = (GaussianParams(4.0, 20.0, 100.0), LctParams(1.0, 2.0, 0.5, 2.0))
 
 
 class TestGaussianParams:
@@ -99,7 +102,7 @@ class TestClosedForm:
         assert coeffs[0] < 0  # concave
         assert residual <= 1e-9
 
-    @pytest.mark.parametrize("g,params", [FIG1, FIG2])
+    @pytest.mark.parametrize("g,params", [FIG1, FIG2, OFF_CENTRE])
     def test_cross_validated_against_quadrature(self, g, params):
         cfg = QuadratureConfig.for_gaussian(g)
         for y in (-8.0, -3.0, 0.0, 2.5, 7.0):
@@ -151,6 +154,20 @@ class TestDirectQuadrature:
     def test_config_rejects_bad_radius_or_tol(self, field, value):
         with pytest.raises(ParameterError):
             QuadratureConfig(**{field: value})
+
+    @pytest.mark.parametrize("g", [FIG1[0], FIG2[0], OFF_CENTRE[0],
+                                   GaussianParams(0.01, -3.0, 0.0)])
+    def test_gaussian_window_holds_twelve_widths_about_the_centre(self, g):
+        cfg = QuadratureConfig.for_gaussian(g)
+        centre, width = -g.beta / g.alpha, 1.0 / math.sqrt(g.alpha)
+        assert cfg.radius >= max(abs(centre - 12 * width), abs(centre + 12 * width))
+        assert cfg.tol == QuadratureConfig().tol
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_output_points(self, shape):
+        g, params = FIG1
+        out = direct_quadrature_lct(params, g.evaluate, np.empty(shape))
+        assert out.shape == shape and out.dtype == complex
 
     def test_array_matches_scalar(self):
         g, params = FIG1
