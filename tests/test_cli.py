@@ -395,12 +395,14 @@ class TestCompare:
             assert caught == [] and capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flag", ["--oracle-radius", "--oracle-tol"])
-    def test_quadrature_settings_are_not_options(self, flag, capsys):
-        # for_gaussian works the window out from the Gaussian itself
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_quadrature_setting_exits_2(self, tmp_path, flag, value, capsys):
+        # for_gaussian works the window out from the Gaussian itself, so
+        # compare takes no quadrature setting at all
         assert main(["compare", "--n", "16", "--preset", "fourier",
                      "--function", "gaussian:1,0,0", "--oracle", "quadrature",
-                     flag, "12"]) == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+                     flag, value, "--output", str(tmp_path / "e.csv")]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert main(["compare", "--help"]) == 0
         assert flag not in capsys.readouterr().out
 
