@@ -322,8 +322,16 @@ def _may_use_two_cpus() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
+def _run_stage(plan: DftPlan, count: int, stage) -> None:
+    """stage(0, count), or stage in halves by _halves where the plan takes the row route."""
+    if plan.route == "rows":
+        _halves(count, stage)
+    else:
+        stage(0, count)
+
+
 def _multiply(plan: DftPlan, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """out[:] = x * y, in halves on two threads where the plan takes the row route."""
+    """out[:] = x * y, in halves as _run_stage splits; whole, with no slices, off the row route."""
     if plan.route == "rows":
         _halves(plan.n, lambda lo, hi: np.multiply(x[lo:hi], y[lo:hi], out=out[lo:hi]))
     else:

@@ -54,15 +54,14 @@ def kernel_prefactor(n: int) -> complex:
     return math.pi / math.sqrt(2.0 * n) * cmath.exp(DFT_SIGN * 1j * math.pi * red / (2.0 * n))
 
 
-def _cis(phase: np.ndarray) -> np.ndarray:
-    """exp(i*phase) for a real array, as cos(phase) + i*sin(phase).
+def _cis(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i*phase) for a real array, as cos(phase) + i*sin(phase), into ``out`` when given.
 
-    Cheaper than numpy's complex exp of 1j*phase, and needs no complex
-    temporary for the phase.
+    Cheaper than numpy's complex exp of 1j*phase; phase may be out.real.
     """
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
+    out = np.empty(phase.shape, dtype=complex) if out is None else out
     np.sin(phase, out=out.imag)
+    np.cos(phase, out=out.real)
     return out
 
 
@@ -76,23 +75,30 @@ def boundary_phase(n: int) -> np.ndarray:
     """
     m = math.isqrt(n - 1) + 1
     phase = np.arange(m) * (DFT_SIGN * np.pi / n)
-    out = (_cis(m * phase)[:, None] * _cis(phase)).ravel()[:n]
-    out[1::2] *= -1
+    coarse, fine = _cis(m * phase), _cis(phase)
+    fine[1::2] *= -1  # (-1)^k = (-1)^(i*m) * (-1)^j, folded in exactly
+    coarse[1::2] *= (-1) ** m
+    out = (coarse[:, None] * fine).ravel()[:n]
     out.setflags(write=False)
     return out
 
 
-def input_chirp(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Pre-multiplication chirp exp(i*a*x^2/(2b))."""
+def input_chirp(a: float, b: float, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pre-multiplication chirp exp(i*a*x^2/(2b)), into ``out`` when given.
+
+    ``out``, complex128 of x's shape (e.g. a slice of a larger array), holds
+    the phase in its real part: no temporary, and the same bits either way.
+    """
     if b == 0:
         raise ParameterError("chirp undefined for b = 0")
-    phase = np.square(x)
+    out = np.empty(x.shape, dtype=complex) if out is None else out
+    phase = np.square(x, out=out.real)
     phase *= 0.5 * a / b
-    return _cis(phase)
+    return _cis(phase, out)
 
 
-def output_chirp(d: float, b: float, y: np.ndarray) -> np.ndarray:
-    """Post-multiplication factor exp(i*d*y^2/(2b)) / sqrt(2*pi*i*b)."""
-    chirp = input_chirp(d, b, y)
+def output_chirp(d: float, b: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Post-multiplication factor exp(i*d*y^2/(2b)) / sqrt(2*pi*i*b), into ``out`` as input_chirp."""
+    chirp = input_chirp(d, b, y, out)
     chirp /= np.sqrt(2j * np.pi * b)
     return chirp

@@ -31,7 +31,7 @@ from .errors import (
     ShapeError,
     UnsupportedBranchError,
 )
-from .fftcore import DftPlan, _multiply, apply_dft, plan_dft
+from .fftcore import DftPlan, _multiply, _run_stage, apply_dft, plan_dft
 from .hermite import HermiteGrid, asymptotic_zeros
 from .kernel import DFT_SIGN, boundary_phase, input_chirp, kernel_prefactor, output_chirp
 
@@ -164,32 +164,31 @@ def _length_setup(n: int) -> tuple[DftPlan, np.ndarray]:
     return plan_dft(n, DFT_SIGN), boundary_phase(n)
 
 
-def _mirrored(chirp, coef: float, b: float, nodes: np.ndarray) -> np.ndarray:
-    """chirp(coef, b, nodes) for nodes with nodes[k] == -nodes[n-1-k].
-
-    The chirps are even in their node, so only the upper half is evaluated
-    and the lower half is its mirror image.
-    """
-    n = nodes.shape[0]
-    upper = chirp(coef, b, nodes[n // 2:])  # starts at the centre node when n is odd
-    return np.concatenate((upper[n % 2:][::-1], upper))
-
-
 @lru_cache(maxsize=8)
 def _fused_factors(
     n: int, a: float, b: float, d: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (pre, post, y) at (n, a, b, d), as xft.kernel defines them.
 
-    Cached for the 8 most recent keys; an entry holds 40*n bytes.
+    The chirps are even and the grid symmetric: each fills its upper half by
+    _run_stage, in place, and is mirrored.  Cached for the 8 most recent
+    keys; an entry holds 40*n bytes.
     """
     x = asymptotic_zeros(n).nodes
     y = (4.0 * b / np.pi) * x
-    _, p = _length_setup(n)
-    pre = _mirrored(input_chirp, a, b, x)
-    pre *= p
-    post = _mirrored(output_chirp, d, b, y)
-    post *= p
+    plan, p = _length_setup(n)
+    pre, post = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    half = n // 2  # the upper half starts at the centre node when n is odd
+
+    def upper(lo: int, hi: int) -> None:
+        lo, hi = lo + half, hi + half
+        input_chirp(a, b, x[lo:hi], out=pre[lo:hi])
+        output_chirp(d, b, y[lo:hi], out=post[lo:hi])
+
+    _run_stage(plan, n - half, upper)
+    for factor in (pre, post):
+        factor[:half] = factor[:n - half - 1:-1]
+        _multiply(plan, factor, p, factor)
     post *= kernel_prefactor(n)
     for factor in (pre, post, y):
         factor.setflags(write=False)
@@ -241,9 +240,9 @@ def fast_lct(params: LctParams, signal: Signal) -> TransformResult:
     unimodular check.
 
     ``values`` is a fresh writable array on every call, and ``output_nodes``
-    is the cached read-only y.  Where the DFT takes fftcore's row route,
-    both products and the DFT run in two halves, one on the calling thread
-    and one on fftcore's worker thread.
+    is the cached read-only y.  Where the DFT takes fftcore's row route, the
+    factor build, both products and the DFT run in two halves, one on the
+    calling thread and one on fftcore's worker thread.
     """
     if params.b == 0:
         raise DegenerateParameterError(

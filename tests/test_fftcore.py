@@ -356,6 +356,23 @@ class TestConcurrency:
                 executor.shutdown()
         assert len(started) == rounds
 
+    def test_other_routes_never_start_the_worker(self):
+        # A transform at a Rader and at a numpy-route length, factors included.
+        script = (
+            "import sys, numpy as np\n"
+            "from xft import LctParams, Signal, asymptotic_zeros, fast_lct, fftcore\n"
+            "for n in (65537, 512):\n"
+            "    grid = asymptotic_zeros(n)\n"
+            "    fast_lct(LctParams(0.3, 1.7, (0.3 * 0.2 - 1) / 1.7, 0.2),\n"
+            "             Signal(grid, np.exp(-grid.nodes ** 2)))\n"
+            "print(fftcore._executor is None, 'concurrent.futures' not in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(fftcore.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout.split() == ["True", "True"], proc.stderr
+
     @pytest.mark.parametrize("started", [True, False])
     def test_row_route_runs_at_interpreter_exit(self, started):
         # atexit functions run after the worker thread has been stopped, and

@@ -1,5 +1,7 @@
 """Fast transform path: equivalence with the dense oracle and special cases."""
 import ast
+import concurrent.futures
+import contextlib
 import dataclasses
 import importlib
 import inspect
@@ -46,6 +48,7 @@ from xft.kernel import (
     kernel_prefactor,
     output_chirp,
 )
+from xft import fftcore, kernel
 from xft.lct import _fused_factors
 
 
@@ -322,6 +325,54 @@ class TestFactorCache:
         assert np.array_equal(y, (4.0 * b / np.pi) * x)
         assert np.max(np.abs(pre - input_chirp(a, b, x) * p)) <= 1e-15
         assert np.max(np.abs(post - output_chirp(d, b, y) * kernel_prefactor(n) * p)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2**17, 3**11])
+    @pytest.mark.parametrize("worker", ["thread", "inline", "busy", "not_begun"])
+    def test_split_factor_build_is_bit_identical_to_serial(self, monkeypatch, n, worker):
+        # The row route builds the chirps' upper halves in two halves; the
+        # serial build evaluates each upper half in one call and mirrors it.
+        class Inline:
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                if worker == "inline":  # the worker's half runs on the caller
+                    future.set_result(fn(*args))
+                return future  # else left pending, so the caller takes the half
+
+        a, b, d = 0.7, -1.3, 1.9
+        x = asymptotic_zeros(n).nodes
+        y = (4.0 * b / np.pi) * x
+        upper = n // 2
+        serial = [np.concatenate((half[n % 2:][::-1], half)) * boundary_phase(n)
+                  for half in (input_chirp(a, b, x[upper:]), output_chirp(d, b, y[upper:]))]
+        serial[1] *= kernel_prefactor(n)
+        with contextlib.ExitStack() as stack:
+            if worker == "busy":  # as while the worker runs another caller's half
+                stack.enter_context(fftcore._busy)
+            elif worker != "thread":
+                monkeypatch.setattr(fftcore, "_worker", Inline)
+            pre, post, _ = _fused_factors.__wrapped__(n, a, b, d)
+        assert pre.tobytes() == serial[0].tobytes()
+        assert post.tobytes() == serial[1].tobytes()
+
+    @pytest.mark.parametrize("chirp", [input_chirp, output_chirp])
+    def test_chirp_into_a_slice_matches_fresh_call(self, chirp):
+        x = asymptotic_zeros(1001).nodes[500:]
+        fresh = chirp(0.7, -1.3, x)
+        whole = np.full(1200, 5.0 + 5.0j)
+        out = whole[100:100 + x.size]
+        assert chirp(0.7, -1.3, x, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        assert np.all(whole[:100] == 5.0 + 5.0j) and np.all(whole[100 + x.size:] == 5.0 + 5.0j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 512, 1000, 2**20, 2**20 + 1])
+    def test_boundary_phase_sign_folded_into_tables(self, n):
+        # Bit for bit the product of the two tables with (-1)^k applied after.
+        # The tables have m = 1, 2, 2, 3, 23, 32, 1024 and 1025 entries: odd and even.
+        m = math.isqrt(n - 1) + 1
+        phase = np.arange(m) * (DFT_SIGN * np.pi / n)
+        expected = (kernel._cis(m * phase)[:, None] * kernel._cis(phase)).ravel()[:n]
+        expected[1::2] *= -1
+        assert boundary_phase(n).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 513, 1000, 65537])
     def test_boundary_phase_matches_direct_formula(self, n):

@@ -1,5 +1,6 @@
 """Oracles: closed-form Gaussian transform, brute-force quadrature, metrics."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -144,6 +145,47 @@ class TestDirectQuadrature:
         cfg = QuadratureConfig(radius=12.0, tol=1e-30)
         with pytest.raises(ConvergenceError):
             direct_quadrature_lct(params, g.evaluate, 0.5, cfg)
+
+    def test_truncation_warning_on_small_slow_integrand(self):
+        # Both tests scale with f: 1e-20 times a slow decay is still slow.
+        with pytest.warns(TruncationWarning):
+            direct_quadrature_lct(LctParams.fourier(),
+                                  lambda x: 1e-20 / (1.0 + x ** 2), 0.0)
+
+    @pytest.mark.parametrize("b", [1e-3, 2e-4])
+    def test_small_integrand_resolved_as_a_large_one(self, b):
+        # Peak exp(-40) ~ 4e-18: an absolute stopping test ended the
+        # refinement on two under-resolved passes, 0.61 and 3.2 relative
+        # error off the closed form.
+        g, params = GaussianParams(1.0, 0.0, 40.0), LctParams.fresnel(b)
+        y = np.array([0.0, 0.002, 0.004])
+        got = direct_quadrature_lct(params, g.evaluate, y, QuadratureConfig.for_gaussian(g))
+        ref = gaussian_lct_closed_form(g, params, y)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_block_kernel_stays_within_budget(self):
+        # Every pass the refinement can reach, from 2049 to 2^21 + 1 points.
+        points = xft.oracle._INITIAL_POINTS
+        while points <= xft.oracle._MAX_POINTS:
+            rows = xft.oracle._block_rows(points)
+            assert rows >= 1 and rows * points * 16 <= xft.oracle._BLOCK_BYTES
+            points = 2 * points - 1
+
+    def test_peak_memory_follows_the_block_budget(self, monkeypatch):
+        # 3000 output points at once would take a 98 MB kernel at 2049
+        # points; under a 256 KiB budget the peak stays near the vectors'.
+        g, params = FIG1
+        y = np.linspace(-3.0, 3.0, 3000)
+        expected = direct_quadrature_lct(params, g.evaluate, y, QuadratureConfig(radius=12.0))
+        monkeypatch.setattr(xft.oracle, "_BLOCK_BYTES", 2**18)
+        tracemalloc.start()
+        try:
+            got = direct_quadrature_lct(params, g.evaluate, y, QuadratureConfig(radius=12.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_rejects_b_zero(self):
         with pytest.raises(DegenerateParameterError):
