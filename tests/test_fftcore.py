@@ -16,12 +16,37 @@ from xft import (
     ParameterError,
     ShapeError,
     apply_dft,
+    asymptotic_zeros,
     naive_dft,
     plan_dft,
 )
 from xft.dense import MAX_DENSE_N
 from xft import fftcore, kernel
 from xft.fftcore import _rader_tables, dft_matrix
+from xft.lct import _fused_factors
+
+
+@contextlib.contextmanager
+def worker_stand_in(monkeypatch, mode):
+    """The worker as a caller of fftcore._halves may find it.
+
+    "worker" runs its half on the caller at submit; "busy" is held by another
+    caller; "not_begun" never begins the half it is handed, so the caller
+    takes that half back.
+    """
+    class Inline:
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            if mode == "worker":
+                future.set_result(fn(*args))
+            return future
+
+    with contextlib.ExitStack() as stack:
+        if mode == "busy":
+            stack.enter_context(fftcore._busy)
+        else:
+            monkeypatch.setattr(fftcore, "_worker", Inline)
+        yield
 
 
 def rel_err(got, ref):
@@ -262,25 +287,33 @@ class TestConcurrency:
 
     @pytest.mark.parametrize("inline", ["worker", "busy", "not_begun"])
     def test_row_route_halves_inline_are_bit_identical(self, monkeypatch, inline):
-        class Inline:
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                if inline == "worker":  # the worker's half runs on the caller
-                    future.set_result(fn(*args))
-                return future  # else left pending, so the caller takes the half
-
         rng = np.random.default_rng(13)
         n = 3**11
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         plans = [plan_dft(n, sign) for sign in (1, -1)]
         threaded = [apply_dft(plan, v) for plan in plans]
-        with contextlib.ExitStack() as stack:
-            if inline == "busy":  # as while the worker runs another caller's half
-                stack.enter_context(fftcore._busy)
-            else:
-                monkeypatch.setattr(fftcore, "_worker", Inline)
+        with worker_stand_in(monkeypatch, inline):
             for plan, ref in zip(plans, threaded):
                 assert np.array_equal(apply_dft(plan, v), ref)
+
+    @pytest.mark.parametrize("n", [2**17, 3**11])
+    @pytest.mark.parametrize("mode", ["thread", "worker", "busy", "not_begun"])
+    def test_split_factor_build_is_bit_identical_to_serial(self, monkeypatch, n, mode):
+        # The row route builds the chirps' upper halves in two halves; the
+        # serial build evaluates each upper half in one call and mirrors it.
+        a, b, d = 0.7, -1.3, 1.9
+        x = asymptotic_zeros(n).nodes
+        y = (4.0 * b / np.pi) * x
+        upper = n // 2
+        serial = [np.concatenate((half[n % 2:][::-1], half)) * kernel.boundary_phase(n)
+                  for half in (kernel.input_chirp(a, b, x[upper:]),
+                               kernel.output_chirp(d, b, y[upper:]))]
+        serial[1] *= kernel.kernel_prefactor(n)
+        with (contextlib.nullcontext() if mode == "thread"
+              else worker_stand_in(monkeypatch, mode)):
+            pre, post, _ = _fused_factors.__wrapped__(n, a, b, d)
+        assert pre.tobytes() == serial[0].tobytes()
+        assert post.tobytes() == serial[1].tobytes()
 
     @pytest.mark.parametrize("case", ["free", "busy", "one_cpu"])
     def test_halves_take_the_worker_only_when_it_is_free(self, monkeypatch, case):

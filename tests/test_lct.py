@@ -1,7 +1,5 @@
 """Fast transform path: equivalence with the dense oracle and special cases."""
 import ast
-import concurrent.futures
-import contextlib
 import dataclasses
 import importlib
 import inspect
@@ -48,7 +46,7 @@ from xft.kernel import (
     kernel_prefactor,
     output_chirp,
 )
-from xft import fftcore, kernel
+from xft import kernel
 from xft.lct import _fused_factors
 
 
@@ -325,34 +323,6 @@ class TestFactorCache:
         assert np.array_equal(y, (4.0 * b / np.pi) * x)
         assert np.max(np.abs(pre - input_chirp(a, b, x) * p)) <= 1e-15
         assert np.max(np.abs(post - output_chirp(d, b, y) * kernel_prefactor(n) * p)) <= 1e-15
-
-    @pytest.mark.parametrize("n", [2**17, 3**11])
-    @pytest.mark.parametrize("worker", ["thread", "inline", "busy", "not_begun"])
-    def test_split_factor_build_is_bit_identical_to_serial(self, monkeypatch, n, worker):
-        # The row route builds the chirps' upper halves in two halves; the
-        # serial build evaluates each upper half in one call and mirrors it.
-        class Inline:
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                if worker == "inline":  # the worker's half runs on the caller
-                    future.set_result(fn(*args))
-                return future  # else left pending, so the caller takes the half
-
-        a, b, d = 0.7, -1.3, 1.9
-        x = asymptotic_zeros(n).nodes
-        y = (4.0 * b / np.pi) * x
-        upper = n // 2
-        serial = [np.concatenate((half[n % 2:][::-1], half)) * boundary_phase(n)
-                  for half in (input_chirp(a, b, x[upper:]), output_chirp(d, b, y[upper:]))]
-        serial[1] *= kernel_prefactor(n)
-        with contextlib.ExitStack() as stack:
-            if worker == "busy":  # as while the worker runs another caller's half
-                stack.enter_context(fftcore._busy)
-            elif worker != "thread":
-                monkeypatch.setattr(fftcore, "_worker", Inline)
-            pre, post, _ = _fused_factors.__wrapped__(n, a, b, d)
-        assert pre.tobytes() == serial[0].tobytes()
-        assert post.tobytes() == serial[1].tobytes()
 
     @pytest.mark.parametrize("chirp", [input_chirp, output_chirp])
     def test_chirp_into_a_slice_matches_fresh_call(self, chirp):

@@ -154,9 +154,8 @@ class TestDirectQuadrature:
 
     @pytest.mark.parametrize("b", [1e-3, 2e-4])
     def test_small_integrand_resolved_as_a_large_one(self, b):
-        # Peak exp(-40) ~ 4e-18: an absolute stopping test ended the
-        # refinement on two under-resolved passes, 0.61 and 3.2 relative
-        # error off the closed form.
+        # Peak exp(-40) ~ 4e-18: the stopping test must scale with the
+        # integrand, or two under-resolved passes agree to 1e-10 absolutely.
         g, params = GaussianParams(1.0, 0.0, 40.0), LctParams.fresnel(b)
         y = np.array([0.0, 0.002, 0.004])
         got = direct_quadrature_lct(params, g.evaluate, y, QuadratureConfig.for_gaussian(g))
